@@ -12,7 +12,7 @@ applied to a vector, never the matrix itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,9 +47,13 @@ class DistanceGenerator:
     name: str = "h"
     sample_point: Optional[Callable[[np.random.Generator], Vector]] = None
     sample_region: str = "box [-2, 2]^n"
-    # Identity Hessian lets the integrator skip the solve entirely.
-    identity_hessian: bool = field(default=False)
     hessian: Optional[np.ndarray] = None
+
+    @property
+    def identity_hessian(self) -> bool:
+        """True iff the declared ``hessian`` is the identity; the stepping
+        loop then skips the solve and takes grad h(z) - grad h(x) = z - x."""
+        return self.hessian is not None and np.array_equal(self.hessian, np.eye(self.dim))
 
     def draw(self, rng: np.random.Generator) -> Vector:
         if self.sample_point is not None:
@@ -242,7 +246,6 @@ def squared_euclidean(dim: int) -> DistanceGenerator:
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
         name="squared_euclidean",
-        identity_hessian=True,
         hessian=np.eye(dim),
     )
 

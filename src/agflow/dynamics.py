@@ -238,6 +238,16 @@ def integrate(
     return _integrate_core(h, f, family, config, x0, v0, variant=variant, sigma=sigma)
 
 
+def half_step_grid(config: IntegratorConfig):
+    """(n_steps, tgrid): the horizon snapped to a whole number of steps, and
+    the RK4 half-step grid tgrid[j] = t0 + j * step / 2, j = 0..2 n_steps.
+
+    Step k evaluates its stages at grid points 2k, 2k + 1 and 2k + 2.
+    """
+    n_steps = max(1, int(round((config.t_end - config.t0) / config.step)))
+    return n_steps, config.t0 + 0.5 * config.step * np.arange(2 * n_steps + 1)
+
+
 def _integrate_core(
     h: DistanceGenerator,
     f: Objective,
@@ -247,9 +257,17 @@ def _integrate_core(
     v0: Vector,
     variant=None,
     sigma: Optional[float] = None,
-    gradient_override: Optional[Callable] = None,
+    gradient_override: Optional[Callable[[Vector, int], Vector]] = None,
+    gradient_of: Optional[Callable[[Vector, float], Vector]] = None,
     extra_metadata: Optional[dict] = None,
 ) -> Trajectory:
+    """The integrator behind `integrate` and `smoothed_flow`.
+
+    `gradient_override(x, j)`, if given, replaces grad f at half-step grid
+    point j (see `half_step_grid`) and forces the stepping loop;
+    `gradient_of(x, t)` is then the same gradient at any time t, kept on the
+    trajectory.
+    """
     from . import lyapunov  # deferred: lyapunov consumes dynamics types
 
     if config.t0 < family.t_min:
@@ -258,22 +276,22 @@ def _integrate_core(
         )
     _stability_check(family, config.t0, config.step)
 
-    n_steps = max(1, int(round((config.t_end - config.t0) / config.step)))
+    n_steps, tgrid = half_step_grid(config)
     hstep = config.step
     t_end = config.t0 + n_steps * hstep
 
     # Schedule coefficients on the half-step grid, one vectorized evaluation.
-    tgrid = config.t0 + 0.5 * hstep * np.arange(2 * n_steps + 1)
     sg = family.sample(tgrid)
     ea_g = np.exp(sg.alpha)
     K_g = sg.delta_dot + sg.eta_dot - sg.alpha_dot - ea_g
     ema_g = np.exp(sg.alpha - sg.eta)
 
     if gradient_override is not None:
-        grad = gradient_override  # grad(x, t)
+        grad = gradient_override
     else:
         base_grad = f.gradient
-        grad = lambda x, t: base_grad(x)  # noqa: E731
+        grad = lambda x, j: base_grad(x)  # noqa: E731
+        gradient_of = lambda x, t: base_grad(x)  # noqa: E731
 
     if sigma is None:
         fam_sigma = getattr(family, "sigma", None)
@@ -305,14 +323,16 @@ def _integrate_core(
     modes = None if gradient_override is not None else _modal_form(h, f, x)
     if modes is None:
         path = "stepping_loop"
-        walk = _stepping_loop(h, grad, tgrid, ea_g, K_g, ema_g, hstep, x, z, events)
+        walk = _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events)
     else:
         path = "composed_maps"
         walk = _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events)
 
-    times = [config.t0]
-    xs = [x.copy()]
-    zs = [z.copy()]
+    n_rec = 1 + np.count_nonzero((events % stride == 0) | (events == n_steps))
+    times = np.empty(n_rec)
+    xs = np.empty((n_rec, x.size))
+    zs = np.empty((n_rec, x.size))
+    times[0], xs[0], zs[0] = config.t0, x, z
     rec0 = lyapunov.record_diagnostics(
         variant, h, f, _sample_at(sg, 0), x, z, xstar, fstar, sigma, prev=None
     )
@@ -336,9 +356,8 @@ def _integrate_core(
                 last_valid = (t_now, x.copy(), z.copy())
 
             if step_idx % stride == 0 or step_idx == n_steps:
-                times.append(t_now)
-                xs.append(x.copy())
-                zs.append(z.copy())
+                r = len(records)
+                times[r], xs[r], zs[r] = t_now, x, z
                 records.append(
                     lyapunov.record_diagnostics(
                         variant,
@@ -380,22 +399,23 @@ def _integrate_core(
         metadata.update(extra_metadata)
 
     return Trajectory(
-        times=np.asarray(times),
-        states_x=np.asarray(xs),
-        states_z=np.asarray(zs),
+        times=times,
+        states_x=xs,
+        states_z=zs,
         records=records,
         metadata=metadata,
         h=h,
         f=f,
         family=family,
         variant=variant,
-        gradient_of=grad,
+        gradient_of=gradient_of,
     )
 
 
-def _stepping_loop(h, grad, tgrid, ea_g, K_g, ema_g, hstep, x, z, events):
+def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     """RK4 stepping on (x, z) for any generator and gradient; yields
-    (step, x, z) after each step listed in `events`.
+    (step, x, z) after each step listed in `events`.  `grad(x, j)` is the
+    objective's gradient at half-step grid point j.
 
     This is the general path and the reference the composed maps are tested
     against.
@@ -412,33 +432,33 @@ def _stepping_loop(h, grad, tgrid, ea_g, K_g, ema_g, hstep, x, z, events):
             if identity:
                 d = z - x
                 kx1 = ea_g[j] * d
-                kz1 = -K_g[j] * d - ema_g[j] * grad(x, tgrid[j])
+                kz1 = -K_g[j] * d - ema_g[j] * grad(x, j)
                 x1 = x + half * kx1
                 z1 = z + half * kz1
                 d = z1 - x1
                 kx2 = ea_g[j + 1] * d
-                kz2 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x1, tgrid[j + 1])
+                kz2 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x1, j + 1)
                 x2 = x + half * kx2
                 z2 = z + half * kz2
                 d = z2 - x2
                 kx3 = ea_g[j + 1] * d
-                kz3 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x2, tgrid[j + 1])
+                kz3 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x2, j + 1)
                 x3 = x + hstep * kx3
                 z3 = z + hstep * kz3
                 d = z3 - x3
                 kx4 = ea_g[j + 2] * d
-                kz4 = -K_g[j + 2] * d - ema_g[j + 2] * grad(x3, tgrid[j + 2])
+                kz4 = -K_g[j + 2] * d - ema_g[j + 2] * grad(x3, j + 2)
             else:
-                kx1, kz1 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, tgrid, j, x, z)
+                kx1, kz1 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z)
                 x1 = x + half * kx1
                 z1 = z + half * kz1
-                kx2, kz2 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, tgrid, j + 1, x1, z1)
+                kx2, kz2 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 1, x1, z1)
                 x2 = x + half * kx2
                 z2 = z + half * kz2
-                kx3, kz3 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, tgrid, j + 1, x2, z2)
+                kx3, kz3 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 1, x2, z2)
                 x3 = x + hstep * kx3
                 z3 = z + hstep * kz3
-                kx4, kz4 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, tgrid, j + 2, x3, z3)
+                kx4, kz4 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 2, x3, z3)
 
             x = x + sixth * (kx1 + 2.0 * (kx2 + kx3) + kx4)
             z = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
@@ -577,8 +597,8 @@ def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
             yield int(ev[b]), X[b], Z[b]
 
 
-def _general_stage(gh, solve, grad, ea_g, K_g, ema_g, tgrid, j, x, z):
-    rhs = -K_g[j] * (gh(z) - gh(x)) - ema_g[j] * grad(x, tgrid[j])
+def _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z):
+    rhs = -K_g[j] * (gh(z) - gh(x)) - ema_g[j] * grad(x, j)
     try:
         zdot = solve(z, rhs)
     except np.linalg.LinAlgError as exc:

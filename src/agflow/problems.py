@@ -39,8 +39,8 @@ def quadratic(Q, b) -> ProblemSpec:
     fstar = 0.5 * float(xstar @ (Q @ xstar)) - float(b @ xstar)
     obj = Objective(
         dim=Q.shape[0],
-        value=lambda x: 0.5 * float(x @ (Q @ x)) - float(b @ x),
-        gradient=lambda x: Q @ x - b,
+        value=lambda x: 0.5 * np.vecdot(x, x @ Q.T) - x @ b,
+        gradient=lambda x: x @ Q.T - b,
         sigma=float(eigs[0]),
         minimizer=xstar,
         optimal_value=fstar,
@@ -71,8 +71,8 @@ def flat_quadratic(A, b) -> ProblemSpec:
     xstar = np.linalg.lstsq(A, b, rcond=None)[0]
     obj = Objective(
         dim=A.shape[1],
-        value=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
-        gradient=lambda x: A.T @ (A @ x - b),
+        value=lambda x: 0.5 * np.sum((x @ A.T - b) ** 2, axis=-1),
+        gradient=lambda x: (x @ A.T - b) @ A,
         sigma=0.0,
         minimizer=xstar,
         optimal_value=0.0,
@@ -107,7 +107,7 @@ def l1_denoise(y, w: float) -> ProblemSpec:
     fstar = 0.5 * float(np.sum((xstar - y) ** 2)) + w * float(np.sum(np.abs(xstar)))
     obj = Objective(
         dim=y.size,
-        value=lambda x: 0.5 * float(np.sum((x - y) ** 2)) + w * float(np.sum(np.abs(x))),
+        value=lambda x: 0.5 * np.sum((x - y) ** 2, axis=-1) + w * np.sum(np.abs(x), axis=-1),
         gradient=lambda x: (x - y) + w * np.sign(x),
         sigma=1.0,
         minimizer=xstar,

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bregman import DistanceGenerator, Objective
-from .dynamics import IntegratorConfig, Trajectory, _integrate_core
+from .dynamics import IntegratorConfig, Trajectory, _integrate_core, half_step_grid
 from .errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
 from .lyapunov import Smoothed
 from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, ScheduleFamily
@@ -31,6 +31,9 @@ Vector = np.ndarray
 class SmoothApproximation:
     """f~(x, mu) with both partial gradients and its (alpha_s, beta_s) constants.
 
+    The callables take row batches: x of shape (..., n) and mu a scalar or an
+    array that broadcasts against x (shape (..., 1) for one mu per row).
+    `value` and `grad_mu` return shape (...), `grad_x` shape (..., n).
     ``exact`` declares f~(x, mu) = base(x) for every mu; the smoothed flow is
     then the flow of `base` itself.
     """
@@ -55,7 +58,6 @@ class SmoothingSchedule:
     """
 
     mu: Callable[[float], float]
-    mu_dot: Callable[[float], float]
     budget: Callable[[float, float], float]
     description: str = "custom"
 
@@ -84,7 +86,7 @@ def _huber_value(x: Vector, w: Vector, mu: float) -> float:
     ax = np.abs(x)
     inside = ax <= mu
     vals = np.where(inside, x * x / (2.0 * mu), ax - 0.5 * mu)
-    return float(np.sum(w * vals))
+    return np.sum(w * vals, axis=-1)
 
 
 def huber_l1(weights) -> SmoothApproximation:
@@ -99,7 +101,7 @@ def huber_l1(weights) -> SmoothApproximation:
         raise ConfigurationError("weights must be finite and nonnegative")
     base = Objective(
         dim=w.size,
-        value=lambda x: float(np.sum(w * np.abs(x))),
+        value=lambda x: np.sum(w * np.abs(x), axis=-1),
         gradient=lambda x: w * np.sign(x),
         sigma=0.0,
         minimizer=np.zeros(w.size),
@@ -114,7 +116,7 @@ def huber_l1(weights) -> SmoothApproximation:
     def grad_mu(x, mu):
         ax = np.abs(x)
         per = np.where(ax <= mu, -x * x / (2.0 * mu * mu), -0.5)
-        return float(np.sum(w * per))
+        return np.sum(w * per, axis=-1)
 
     return SmoothApproximation(
         value=lambda x, mu: _huber_value(np.asarray(x, dtype=float), w, mu),
@@ -132,20 +134,34 @@ def add_smooth_part(
     smooth: Objective,
     combined_base: Objective,
     mu_max: float = 1.0,
+    l_smooth: Optional[float] = None,
 ) -> SmoothApproximation:
     """Approximation of (smooth + nonsmooth): add a mu-independent smooth term.
 
-    The sandwich and the d/d mu band carry over unchanged; the smoothness
-    constant grows to alpha_s + L_smooth * mu_max, valid for mu <= mu_max,
-    where L_smooth bounds the smooth part's gradient Lipschitz constant
-    (taken as 1/smooth.sigma-free: pass it via smooth's own scale -- here the
-    shipped use is the identity quadratic with L_smooth = 1).
+    The sandwich and the d/d mu band carry over unchanged.  If the smooth
+    part's gradient is L-Lipschitz, the sum is (alpha_s + L mu_max)/mu-smooth
+    for every mu <= mu_max, so alpha_s grows by L * mu_max.  L is the largest
+    eigenvalue of `smooth.hessian` when that is declared; otherwise it must be
+    passed as `l_smooth`.
     """
     if mu_max <= 0:
         raise ConfigurationError("mu_max must be positive")
-    l_smooth = 1.0  # shipped smooth parts are (1/2)||x - y||^2
+    if (smooth.hessian is None) == (l_smooth is None):
+        raise ConfigurationError(
+            "give l_smooth exactly when the smooth part declares no constant Hessian"
+        )
+    if smooth.hessian is not None:
+        H = np.asarray(smooth.hessian, dtype=float)
+        diag = np.diag(H)
+        # a diagonal Hessian's eigenvalues are its diagonal; reading them off
+        # spares a run that makes no other LAPACK call the ~0.7 MB of library
+        # pages its first call faults in
+        diagonal = np.array_equal(H, np.diag(diag))
+        l_smooth = float(np.max(diag) if diagonal else np.linalg.eigvalsh(H)[-1])
+    elif not l_smooth >= 0:
+        raise ConfigurationError("l_smooth must be nonnegative")
     return SmoothApproximation(
-        value=lambda x, mu: float(smooth.value(x)) + a.value(x, mu),
+        value=lambda x, mu: smooth.value(x) + a.value(x, mu),
         grad_x=lambda x, mu: smooth.gradient(x) + a.grad_x(x, mu),
         grad_mu=a.grad_mu,
         alpha_s=a.alpha_s + l_smooth * mu_max,
@@ -163,13 +179,18 @@ def l1_denoise_approximation(y, w: float, mu_max: float = 1.0):
     spec = l1_denoise(y, w)
     quad = Objective(
         dim=y.size,
-        value=lambda x: 0.5 * float(np.sum((x - y) ** 2)),
+        value=lambda x: 0.5 * np.sum((x - y) ** 2, axis=-1),
         gradient=lambda x: x - y,
         sigma=1.0,
         name="half_squared_distance",
+        hessian=np.eye(y.size),
     )
     approx = add_smooth_part(huber_l1(np.full(y.size, w)), quad, spec.objective, mu_max=mu_max)
     return approx, spec
+
+
+# Samples per row batch of `certify_smooth_approx`.
+_CERT_CHUNK = 1024
 
 
 def certify_smooth_approx(
@@ -181,7 +202,12 @@ def certify_smooth_approx(
     tolerance: float = 1e-9,
 ) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
-    (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws."""
+    (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
+
+    Sample i is x_i, y_i ~ U[-box, box]^n and mu_i ~ U[1e-3, mu_max], drawn
+    in that order; the draws are taken and checked in row batches of
+    `_CERT_CHUNK` samples.
+    """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -189,21 +215,24 @@ def certify_smooth_approx(
     worst_sandwich = -np.inf
     worst_band = -np.inf
     worst_ratio = 0.0
-    for _ in range(num_samples):
-        x = rng.uniform(-box, box, size=dim)
-        y = rng.uniform(-box, box, size=dim)
-        mu = rng.uniform(1e-3, mu_max)
-        fx = float(a.base.value(x))
-        fax = a.value(x, mu)
-        worst_sandwich = max(worst_sandwich, fax - fx, fx - fax - a.beta_s * mu)
-        gm = a.grad_mu(x, mu)
-        worst_band = max(worst_band, gm, -gm - a.beta_s)
-        dx = float(np.linalg.norm(y - x))
-        if dx > 1e-12:
-            ratio = float(np.linalg.norm(a.grad_x(y, mu) - a.grad_x(x, mu))) / (
-                (a.alpha_s / mu) * dx
-            )
-            worst_ratio = max(worst_ratio, ratio)
+    for start in range(0, num_samples, _CERT_CHUNK):
+        u = rng.random((min(_CERT_CHUNK, num_samples - start), 2 * dim + 1))
+        # low + (high - low) * u is how Generator.uniform scales its draws
+        x = -box + 2.0 * box * u[:, :dim]
+        y = -box + 2.0 * box * u[:, dim : 2 * dim]
+        mu_col = 1e-3 + (mu_max - 1e-3) * u[:, 2 * dim :]
+        mu = mu_col[:, 0]
+        fx = a.base.value(x)
+        fax = a.value(x, mu_col)
+        worst_sandwich = max(worst_sandwich, np.max(fax - fx), np.max(fx - fax - a.beta_s * mu))
+        gm = a.grad_mu(x, mu_col)
+        worst_band = max(worst_band, np.max(gm), np.max(-gm - a.beta_s))
+        d = y - x
+        dx = np.sqrt(np.vecdot(d, d))
+        dg = a.grad_x(y, mu_col) - a.grad_x(x, mu_col)
+        keep = dx > 1e-12
+        ratio = np.sqrt(np.vecdot(dg[keep], dg[keep])) / ((a.alpha_s / mu[keep]) * dx[keep])
+        worst_ratio = max(worst_ratio, np.max(ratio, initial=0.0))
     return CertReport(
         passed=bool(
             worst_sandwich <= tolerance
@@ -252,12 +281,8 @@ def rate_preserving_mu(
     def mu(t):
         return target(t) / flow_weight(t)
 
-    def mu_dot(t, h=1e-6):
-        return (mu(t + h) - mu(t - h)) / (2.0 * h)
-
     return SmoothingSchedule(
         mu=mu,
-        mu_dot=mu_dot,
         budget=lambda ta, tb: float(antideriv(tb) - antideriv(ta)),
         description=desc,
     )
@@ -274,7 +299,6 @@ def constant_mu(value: float, family: ScheduleFamily) -> SmoothingSchedule:
 
     return SmoothingSchedule(
         mu=lambda t: value + 0.0 * np.asarray(t, dtype=float),
-        mu_dot=lambda t: 0.0 * np.asarray(t, dtype=float),
         budget=budget,
         description=f"constant mu = {value:g}",
     )
@@ -293,21 +317,26 @@ def smoothed_flow(
     """Integrate the flow with grad f replaced by grad_x f~(x, mu(t)).
 
     Diagnostics use the smoothed Lyapunov variant and accumulate the budget
-    B(t) = beta_s int nu_dot e^nu mu.
+    B(t) = beta_s int nu_dot e^nu mu.  mu is evaluated once, vectorized, on
+    the integrator's half-step grid; it must be positive, finite and
+    nonincreasing at every grid point, and the stepping loop reads it there
+    by grid index.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
-    probe = np.asarray(
-        mu_sched.mu(np.linspace(config.t0, config.t_end, 101)), dtype=float
-    )
-    if np.any(probe <= 0) or not np.all(np.isfinite(probe)):
+    mu_g = np.asarray(mu_sched.mu(half_step_grid(config)[1]), dtype=float)
+    if np.any(mu_g <= 0) or not np.all(np.isfinite(mu_g)):
         raise ScheduleError("mu(t) must be positive and finite on the horizon")
-    if np.any(np.diff(probe) > 1e-12 * np.max(probe)):
+    if np.any(np.diff(mu_g) > 1e-12 * np.max(mu_g)):
         raise ScheduleError("mu(t) must be nonincreasing on the horizon")
     variant = Smoothed(approximation=a, beta_s=a.beta_s, mu_schedule=mu_sched)
     # an exact approximation drives the flow with base's own gradient, so the
     # run takes the same integration path as the unsmoothed flow of base
-    grad = None if a.exact else lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))
+    if a.exact:
+        grad = grad_of = None
+    else:
+        grad = lambda x, j: a.grad_x(x, mu_g[j])  # noqa: E731
+        grad_of = lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))  # noqa: E731
     if sigma is None:
         fam_sigma = getattr(family, "sigma", None)
         sigma = 0.0 if fam_sigma is None else fam_sigma
@@ -321,6 +350,7 @@ def smoothed_flow(
         variant=variant,
         sigma=sigma,
         gradient_override=grad,
+        gradient_of=grad_of,
         extra_metadata={"smoothing": {"approximation": a.name, "mu": mu_sched.description}},
     )
 
@@ -334,9 +364,9 @@ def with_exact_smooth_objective(f: Objective, beta_s: float = 1.0) -> SmoothAppr
     if not f.smooth:
         raise ConfigurationError("objective must be smooth")
     return SmoothApproximation(
-        value=lambda x, mu: float(f.value(x)),
+        value=lambda x, mu: f.value(x),
         grad_x=lambda x, mu: f.gradient(x),
-        grad_mu=lambda x, mu: 0.0,
+        grad_mu=lambda x, mu: np.zeros(np.shape(x)[:-1]),
         alpha_s=1.0,
         beta_s=beta_s,
         base=f,

@@ -206,7 +206,6 @@ def test_domain_exit_reports_last_valid_state(hessian):
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.abs(x) < 1.0)),
         name="boxed",
-        identity_hessian=True,
         hessian=base.hessian,
     )
     # minimizer at 2.0 sits outside the guard box, so the flow must exit
@@ -372,3 +371,28 @@ def test_undeclared_generator_hessian_takes_stepping_loop():
         ag.negative_entropy(2), spec.objective, fam, cfg, np.array([0.3, 0.4])
     )
     assert traj.metadata["integrator"]["path"] == "stepping_loop"
+
+
+def test_identity_hessian_is_derived_from_declared_hessian():
+    assert ag.squared_euclidean(2).identity_hessian
+    assert not ag.diagonal_quadratic([1.0, 4.0]).identity_hessian
+    assert not ag.negative_entropy(2).identity_hessian
+    with pytest.raises(TypeError):
+        dataclasses.replace(ag.diagonal_quadratic([1.0, 4.0]), identity_hessian=True)
+
+
+def test_non_identity_generator_paths_agree():
+    # a generator that claimed an identity Hessian beside hess h = diag(1, 4)
+    # once ran a different flow on the stepping loop than on the maps
+    spec = ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
+    h = ag.diagonal_quadratic([1.0, 4.0])
+    fam = ag.ConstantDamping(2.0, 1.0)
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=5.0, step=1e-3, record_stride=10)
+    x0 = np.array([1.0, 1.0])
+    fast = ag.integrate(h, spec.objective, fam, cfg, x0)
+    ref = ag.integrate(h, dataclasses.replace(spec.objective, hessian=None), fam, cfg, x0)
+    assert fast.metadata["integrator"]["path"] == "composed_maps"
+    assert ref.metadata["integrator"]["path"] == "stepping_loop"
+    scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
+    assert np.max(np.abs(fast.states_x[-1] - ref.states_x[-1])) <= 1e-11 * scale
+    assert np.max(np.abs(fast.states_z[-1] - ref.states_z[-1])) <= 1e-11 * scale

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import agflow as ag
+from agflow.dynamics import _integrate_core
 from agflow.errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
-from agflow.smoothing import SmoothApproximation
+from agflow.smoothing import SmoothApproximation, add_smooth_part
 
 
 def test_huber_values_at_reference_points():
@@ -139,7 +142,6 @@ def test_smoothed_flow_rejects_vanishing_or_growing_mu():
     cfg = ag.IntegratorConfig(t0=1.0, t_end=10.0, step=1e-2)
     through_zero = ag.SmoothingSchedule(
         mu=lambda t: 1.0 - 0.2 * np.asarray(t, dtype=float),
-        mu_dot=lambda t: -0.2,
         budget=lambda ta, tb: 0.0,
         description="linear decay through zero",
     )
@@ -147,7 +149,6 @@ def test_smoothed_flow_rejects_vanishing_or_growing_mu():
         ag.smoothed_flow(spec.generator, approx, fam, through_zero, cfg, np.zeros(1))
     growing = ag.SmoothingSchedule(
         mu=lambda t: 0.1 * np.asarray(t, dtype=float),
-        mu_dot=lambda t: 0.1,
         budget=lambda ta, tb: 0.0,
         description="growing",
     )
@@ -183,3 +184,138 @@ def test_smoothed_flow_tracks_budgeted_increments():
     assert np.max(np.diff(V) - np.diff(B)) <= tol
     rep = ag.monotonicity_report(traj)
     assert rep.passed and rep.smoothed
+
+
+def test_smoothed_flow_rejects_mu_bump_between_coarse_probes():
+    approx, spec = ag.l1_denoise_approximation(np.array([1.0]), 1.0)
+    fam = ag.Hyperbolic(0.0)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=10.0, step=1e-2)
+    # a bump on [5.0, 5.02], narrower than (t_end - t0)/100 = 0.09
+    bump = ag.SmoothingSchedule(
+        mu=lambda t: 1.0 + 0.5 * (np.abs(np.asarray(t, dtype=float) - 5.01) < 0.01),
+        budget=lambda ta, tb: 0.0,
+        description="bump",
+    )
+    # 101 evenly spaced probes on the horizon miss it
+    assert np.all(bump.mu(np.linspace(cfg.t0, cfg.t_end, 101)) == 1.0)
+    with pytest.raises(ScheduleError, match="nonincreasing"):
+        ag.smoothed_flow(spec.generator, approx, fam, bump, cfg, np.zeros(1))
+
+
+def test_grid_mu_matches_per_stage_mu_oracle():
+    # the smooth-demo run, against the stepping loop with mu(t) evaluated per stage
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    fam = ag.Hyperbolic(0.0)
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=14.0, step=1e-3, record_stride=10)
+    x0 = np.zeros(2)
+    fast = ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, x0)
+
+    def per_stage(x, j):
+        return approx.grad_x(x, float(mu.mu(cfg.t0 + 0.5 * cfg.step * j)))
+
+    ref = _integrate_core(
+        spec.generator,
+        approx.base,
+        fam,
+        cfg,
+        x0,
+        np.zeros(2),
+        variant=ag.Smoothed(approximation=approx, beta_s=approx.beta_s, mu_schedule=mu),
+        sigma=0.0,
+        gradient_override=per_stage,
+    )
+    assert np.array_equal(fast.times, ref.times)
+    scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
+    assert np.max(np.abs(fast.states_x - ref.states_x)) <= 1e-12 * scale
+    assert np.max(np.abs(fast.states_z - ref.states_z)) <= 1e-12 * scale
+    V = np.array([r.V for r in fast.records])
+    V_ref = np.array([r.V for r in ref.records])
+    assert np.max(np.abs(V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+
+
+def per_sample_certificate(a, num_samples, seed, box=2.0, mu_max=1.0, tolerance=1e-9):
+    """The certification one (x, y, mu) draw at a time."""
+    rng = np.random.default_rng(seed)
+    dim = a.base.dim
+    sandwich, band, ratio = -np.inf, -np.inf, 0.0
+    for _ in range(num_samples):
+        x = rng.uniform(-box, box, size=dim)
+        y = rng.uniform(-box, box, size=dim)
+        mu = rng.uniform(1e-3, mu_max)
+        fx = float(a.base.value(x))
+        fax = float(a.value(x, mu))
+        sandwich = max(sandwich, fax - fx, fx - fax - a.beta_s * mu)
+        gm = float(a.grad_mu(x, mu))
+        band = max(band, gm, -gm - a.beta_s)
+        dx = float(np.linalg.norm(y - x))
+        if dx > 1e-12:
+            dg = float(np.linalg.norm(a.grad_x(y, mu) - a.grad_x(x, mu)))
+            ratio = max(ratio, dg / ((a.alpha_s / mu) * dx))
+    passed = sandwich <= tolerance and band <= tolerance and ratio <= 1.0 + 1e-9
+    return passed, sandwich, band, ratio
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("which", ["l1_denoise", "exact_quadratic"])
+def test_batched_certification_matches_per_sample_loop(which, seed):
+    if which == "l1_denoise":
+        a, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    else:
+        a = ag.with_exact_smooth_objective(ag.quadratic(np.diag([1.0, 0.5]), np.ones(2)).objective)
+    num_samples = 2500  # not a whole number of row batches
+    rep = ag.certify_smooth_approx(a, num_samples=num_samples, seed=seed)
+    passed, sandwich, band, ratio = per_sample_certificate(a, num_samples, seed)
+    assert rep.passed == passed
+    assert rep.max_sandwich_violation == pytest.approx(sandwich, rel=1e-12, abs=0.0)
+    assert rep.max_band_violation == pytest.approx(band, rel=1e-12, abs=0.0)
+    assert rep.max_smoothness_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
+
+def steep_problem(hessian, y, w):
+    """0.5 (x - y)^T H (x - y) as the smooth part, plus w ||x||_1."""
+    smooth = ag.Objective(
+        dim=y.size,
+        value=lambda x: 0.5 * np.vecdot(x - y, (x - y) @ hessian),
+        gradient=lambda x: (x - y) @ hessian,
+        sigma=float(np.min(np.linalg.eigvalsh(hessian))),
+        name="steep",
+        hessian=hessian,
+    )
+    base = dataclasses.replace(
+        smooth,
+        value=lambda x: smooth.value(x) + w * np.sum(np.abs(x), axis=-1),
+        gradient=lambda x: smooth.gradient(x) + w * np.sign(x),
+        smooth=False,
+        name="steep_l1",
+        hessian=None,
+    )
+    return smooth, base
+
+
+@pytest.mark.parametrize(
+    "hessian", [10.0 * np.eye(2), np.array([[6.0, 4.0], [4.0, 6.0]])], ids=["diagonal", "dense"]
+)
+def test_add_smooth_part_derives_smoothness_from_hessian(hessian):
+    # both Hessians have largest eigenvalue L = 10
+    huber = ag.huber_l1(np.ones(2))
+    smooth, base = steep_problem(hessian, np.array([2.0, 0.1]), 1.0)
+    derived = add_smooth_part(huber, smooth, base)
+    assert derived.alpha_s == pytest.approx(huber.alpha_s + 10.0, rel=1e-12)
+    assert ag.certify_smooth_approx(derived, num_samples=3000, seed=0).passed
+    # the constant L = 1 once hard-coded for every smooth part
+    unit = add_smooth_part(huber, dataclasses.replace(smooth, hessian=None), base, l_smooth=1.0)
+    rep = ag.certify_smooth_approx(unit, num_samples=3000, seed=0)
+    assert not rep.passed
+    assert rep.max_smoothness_ratio > 1.5
+
+
+def test_add_smooth_part_needs_exactly_one_lipschitz_source():
+    huber = ag.huber_l1(np.ones(2))
+    smooth, base = steep_problem(np.eye(2), np.zeros(2), 1.0)
+    with pytest.raises(ConfigurationError):
+        add_smooth_part(huber, dataclasses.replace(smooth, hessian=None), base)
+    with pytest.raises(ConfigurationError):
+        add_smooth_part(huber, smooth, base, l_smooth=1.0)
+    approx, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    assert approx.alpha_s == 2.0
