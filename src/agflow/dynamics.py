@@ -258,15 +258,14 @@ def _integrate_core(
     variant=None,
     sigma: Optional[float] = None,
     gradient_override: Optional[Callable[[Vector, int], Vector]] = None,
-    gradient_of: Optional[Callable[[Vector, float], Vector]] = None,
     extra_metadata: Optional[dict] = None,
 ) -> Trajectory:
     """The integrator behind `integrate` and `smoothed_flow`.
 
     `gradient_override(x, j)`, if given, replaces grad f at half-step grid
-    point j (see `half_step_grid`) and forces the stepping loop;
-    `gradient_of(x, t)` is then the same gradient at any time t, kept on the
-    trajectory.
+    point j (see `half_step_grid`) and forces the stepping loop.  The
+    trajectory's `gradient_of(x, t)` is grad f; a caller that overrides the
+    gradient attaches its own time form.
     """
     from . import lyapunov  # deferred: lyapunov consumes dynamics types
 
@@ -286,12 +285,10 @@ def _integrate_core(
     K_g = sg.delta_dot + sg.eta_dot - sg.alpha_dot - ea_g
     ema_g = np.exp(sg.alpha - sg.eta)
 
-    if gradient_override is not None:
-        grad = gradient_override
-    else:
-        base_grad = f.gradient
+    base_grad = f.gradient
+    grad = gradient_override
+    if grad is None:
         grad = lambda x, j: base_grad(x)  # noqa: E731
-        gradient_of = lambda x, t: base_grad(x)  # noqa: E731
 
     if sigma is None:
         fam_sigma = getattr(family, "sigma", None)
@@ -408,7 +405,7 @@ def _integrate_core(
         f=f,
         family=family,
         variant=variant,
-        gradient_of=gradient_of,
+        gradient_of=lambda x, t: base_grad(x),
     )
 
 

@@ -13,6 +13,7 @@ mu makes finite.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -151,13 +152,7 @@ def add_smooth_part(
             "give l_smooth exactly when the smooth part declares no constant Hessian"
         )
     if smooth.hessian is not None:
-        H = np.asarray(smooth.hessian, dtype=float)
-        diag = np.diag(H)
-        # a diagonal Hessian's eigenvalues are its diagonal; reading them off
-        # spares a run that makes no other LAPACK call the ~0.7 MB of library
-        # pages its first call faults in
-        diagonal = np.array_equal(H, np.diag(diag))
-        l_smooth = float(np.max(diag) if diagonal else np.linalg.eigvalsh(H)[-1])
+        l_smooth = float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1])
     elif not l_smooth >= 0:
         raise ConfigurationError("l_smooth must be nonnegative")
     return SmoothApproximation(
@@ -193,6 +188,26 @@ def l1_denoise_approximation(y, w: float, mu_max: float = 1.0):
 _CERT_CHUNK = 1024
 
 
+def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
+    """`batch` as an array, once it has `shape` and (if given) its row 0
+    agrees with `one_point`, the same callable evaluated at row 0 alone."""
+    batch = np.asarray(batch)
+    if batch.shape != shape:
+        raise ConfigurationError(
+            f"{name} returned shape {batch.shape} on a row batch, expected {shape}; "
+            "it must take row batches"
+        )
+    if one_point is None:
+        return batch
+    if np.shape(one_point) != shape[1:] or not np.allclose(
+        batch[0], one_point, rtol=1e-9, atol=1e-9, equal_nan=True
+    ):
+        raise ConfigurationError(
+            f"{name} on a row batch disagrees with its one-point value; it must take row batches"
+        )
+    return batch
+
+
 def certify_smooth_approx(
     a: SmoothApproximation,
     num_samples: int,
@@ -206,7 +221,9 @@ def certify_smooth_approx(
 
     Sample i is x_i, y_i ~ U[-box, box]^n and mu_i ~ U[1e-3, mu_max], drawn
     in that order; the draws are taken and checked in row batches of
-    `_CERT_CHUNK` samples.
+    `_CERT_CHUNK` samples.  Each callable must take row batches (README, "Row
+    batches"): a result of the wrong shape, or one whose first row differs
+    from a one-point call, raises `ConfigurationError`.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
@@ -216,22 +233,26 @@ def certify_smooth_approx(
     worst_band = -np.inf
     worst_ratio = 0.0
     for start in range(0, num_samples, _CERT_CHUNK):
-        u = rng.random((min(_CERT_CHUNK, num_samples - start), 2 * dim + 1))
+        m = min(_CERT_CHUNK, num_samples - start)
+        u = rng.random((m, 2 * dim + 1))
         # low + (high - low) * u is how Generator.uniform scales its draws
         x = -box + 2.0 * box * u[:, :dim]
         y = -box + 2.0 * box * u[:, dim : 2 * dim]
         mu_col = 1e-3 + (mu_max - 1e-3) * u[:, 2 * dim :]
         mu = mu_col[:, 0]
-        fx = a.base.value(x)
-        fax = a.value(x, mu_col)
+        x0, mu0 = x[0], float(mu[0])
+        fx = _row_batch("base.value", a.base.value(x), (m,), a.base.value(x0))
+        fax = _row_batch("value", a.value(x, mu_col), (m,), a.value(x0, mu0))
         worst_sandwich = max(worst_sandwich, np.max(fax - fx), np.max(fx - fax - a.beta_s * mu))
-        gm = a.grad_mu(x, mu_col)
+        gm = _row_batch("grad_mu", a.grad_mu(x, mu_col), (m,), a.grad_mu(x0, mu0))
         worst_band = max(worst_band, np.max(gm), np.max(-gm - a.beta_s))
+        gx = _row_batch("grad_x", a.grad_x(x, mu_col), x.shape, a.grad_x(x0, mu0))
+        gy = _row_batch("grad_x", a.grad_x(y, mu_col), x.shape)
         d = y - x
-        dx = np.sqrt(np.vecdot(d, d))
-        dg = a.grad_x(y, mu_col) - a.grad_x(x, mu_col)
+        dx = np.sqrt(np.einsum("...i,...i->...", d, d))
         keep = dx > 1e-12
-        ratio = np.sqrt(np.vecdot(dg[keep], dg[keep])) / ((a.alpha_s / mu[keep]) * dx[keep])
+        dg = gy[keep] - gx[keep]
+        ratio = np.sqrt(np.einsum("...i,...i->...", dg, dg)) / ((a.alpha_s / mu[keep]) * dx[keep])
         worst_ratio = max(worst_ratio, np.max(ratio, initial=0.0))
     return CertReport(
         passed=bool(
@@ -332,15 +353,11 @@ def smoothed_flow(
     variant = Smoothed(approximation=a, beta_s=a.beta_s, mu_schedule=mu_sched)
     # an exact approximation drives the flow with base's own gradient, so the
     # run takes the same integration path as the unsmoothed flow of base
-    if a.exact:
-        grad = grad_of = None
-    else:
-        grad = lambda x, j: a.grad_x(x, mu_g[j])  # noqa: E731
-        grad_of = lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))  # noqa: E731
+    grad = None if a.exact else (lambda x, j: a.grad_x(x, mu_g[j]))
     if sigma is None:
         fam_sigma = getattr(family, "sigma", None)
         sigma = 0.0 if fam_sigma is None else fam_sigma
-    return _integrate_core(
+    traj = _integrate_core(
         h,
         a.base,
         family,
@@ -350,8 +367,10 @@ def smoothed_flow(
         variant=variant,
         sigma=sigma,
         gradient_override=grad,
-        gradient_of=grad_of,
         extra_metadata={"smoothing": {"approximation": a.name, "mu": mu_sched.description}},
+    )
+    return dataclasses.replace(
+        traj, gradient_of=lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))
     )
 
 

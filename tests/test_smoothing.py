@@ -232,6 +232,10 @@ def test_grid_mu_matches_per_stage_mu_oracle():
     V = np.array([r.V for r in fast.records])
     V_ref = np.array([r.V for r in ref.records])
     assert np.max(np.abs(V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+    # the trajectory's time-form gradient is the smoothed one, not base's
+    x, t = fast.states_x[len(fast) // 2], float(fast.times[len(fast) // 2])
+    assert np.array_equal(fast.gradient_of(x, t), approx.grad_x(x, float(mu.mu(t))))
+    assert not np.array_equal(fast.gradient_of(x, t), approx.base.gradient(x))
 
 
 def per_sample_certificate(a, num_samples, seed, box=2.0, mu_max=1.0, tolerance=1e-9):
@@ -272,11 +276,65 @@ def test_batched_certification_matches_per_sample_loop(which, seed):
     assert rep.max_smoothness_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
 
+def smoothed_euclidean_norm(dim):
+    """sqrt(||x||^2 + mu^2) - mu for ||x||, written for row batches."""
+
+    def root(x, mu):  # shape (..., 1)
+        return np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + mu * mu)
+
+    base = ag.Objective(
+        dim=dim,
+        value=lambda x: np.sqrt(np.sum(x * x, axis=-1)),
+        gradient=lambda x: x / np.sqrt(np.sum(x * x, axis=-1, keepdims=True)),
+        sigma=0.0,
+        smooth=False,
+        name="euclidean_norm",
+    )
+    return SmoothApproximation(
+        value=lambda x, mu: (root(x, mu) - mu)[..., 0],
+        grad_x=lambda x, mu: x / root(x, mu),
+        grad_mu=lambda x, mu: (mu / root(x, mu) - 1.0)[..., 0],
+        alpha_s=1.0,
+        beta_s=1.0,
+        base=base,
+        name="smoothed_euclidean_norm",
+    )
+
+
+def test_certification_rejects_approximations_without_row_batches():
+    good = smoothed_euclidean_norm(2)
+    assert ag.certify_smooth_approx(good, num_samples=1500, seed=0).passed
+
+    def root(x, mu):
+        return np.sqrt(np.sum(x * x, axis=-1) + mu * mu)
+
+    broken = {
+        # a mu term added after the axis=-1 sum broadcasts (m,) - (m, 1) to (m, m)
+        "value": dataclasses.replace(good, value=lambda x, mu: root(x, mu) - mu),
+        # np.linalg.norm with no axis gives one value for the whole batch
+        "base.value": dataclasses.replace(
+            good, base=dataclasses.replace(good.base, value=lambda x: np.linalg.norm(x))
+        ),
+        # a sum with no axis keeps the right shape but mixes the rows
+        "grad_x": dataclasses.replace(
+            good, grad_x=lambda x, mu: x / np.sqrt(np.sum(x * x) + mu * mu)
+        ),
+    }
+    for name, a in broken.items():
+        # every broken callable still agrees with the good one on one point
+        x, y = np.array([0.3, -1.2]), np.array([1.1, 0.4])
+        assert a.value(x, 0.2) == pytest.approx(good.value(x, 0.2), rel=1e-12)
+        assert a.base.value(x) == pytest.approx(good.base.value(x), rel=1e-12)
+        assert a.grad_x(y, 0.2) == pytest.approx(good.grad_x(y, 0.2), rel=1e-12)
+        with pytest.raises(ConfigurationError, match=f"^{name} .*row batches"):
+            ag.certify_smooth_approx(a, num_samples=1500, seed=0)
+
+
 def steep_problem(hessian, y, w):
     """0.5 (x - y)^T H (x - y) as the smooth part, plus w ||x||_1."""
     smooth = ag.Objective(
         dim=y.size,
-        value=lambda x: 0.5 * np.vecdot(x - y, (x - y) @ hessian),
+        value=lambda x: 0.5 * np.einsum("...i,...i->...", x - y, (x - y) @ hessian),
         gradient=lambda x: (x - y) @ hessian,
         sigma=float(np.min(np.linalg.eigvalsh(hessian))),
         name="steep",
