@@ -22,6 +22,7 @@ from .dynamics import (
     rhs_l2,
 )
 from .lyapunov import (
+    Diagnostics,
     DiagnosticsRecord,
     FittedRate,
     Smoothed,
@@ -46,6 +47,7 @@ from .schedules import (
     check_general,
     check_general2,
     check_para,
+    condition_slacks,
     from_beta_parameterization,
     time_grid,
     verify_alpha_ode_residual,

@@ -131,17 +131,40 @@ def _require_in_domain(h: DistanceGenerator, point: Vector, label: str) -> None:
         raise DomainError(f"{label} = {np.asarray(point)} is outside the domain of {h.name}")
 
 
-def bregman_div(h: DistanceGenerator, y: Vector, x: Vector) -> float:
+def row_values(name: str, values, shape) -> np.ndarray:
+    """`values` as a float array, once it has `shape`: the batch shape of the
+    rows it was computed from, () for a single point.  A callable that
+    ignores the row axis, such as a sum with no axis, gives another shape,
+    which is a ConfigurationError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != tuple(shape):
+        raise ConfigurationError(
+            f"{name} returned shape {values.shape} for rows of batch shape {tuple(shape)}; "
+            "it must take row batches"
+        )
+    return values
+
+
+def bregman_div(h: DistanceGenerator, y: Vector, x: Vector):
     """D_h(y, x) = h(y) - h(x) - grad h(x)^T (y - x).
 
-    Nonnegative up to round-off; tiny negatives are reported as-is here and
-    clamped only in human-readable summaries, never in Lyapunov arithmetic.
+    `y` and `x` are points or row batches of shape (..., n) that broadcast
+    against each other; a batch gives one divergence per row, two points a
+    Python float.  Nonnegative up to round-off; tiny negatives are reported
+    as-is here and clamped only in human-readable summaries, never in
+    Lyapunov arithmetic.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     _require_in_domain(h, x, "x")
     _require_in_domain(h, y, "y")
-    return float(h.value(y) - h.value(x) - h.gradient(x) @ (y - x))
+    label = f"{h.name}.value"
+    d = (
+        row_values(label, h.value(y), y.shape[:-1])
+        - row_values(label, h.value(x), x.shape[:-1])
+        - np.einsum("...i,...i->...", h.gradient(x), y - x)
+    )
+    return float(d) if d.ndim == 0 else d
 
 
 def three_point_residual(h: DistanceGenerator, x1: Vector, x2: Vector, x3: Vector) -> float:
@@ -231,14 +254,19 @@ def check_symmetry(
 
 
 # ---------------------------------------------------------------------------
-# Shipped generators
+# Shipped generators: `value`, `gradient` and `domain_guard` take row batches
+
+
+def _dot(x: Vector, y: Vector):
+    """Row-wise dot product over the last axis."""
+    return np.einsum("...i,...i->...", x, y)
 
 
 def squared_euclidean(dim: int) -> DistanceGenerator:
     """h(x) = (1/2) ||x||^2; the divergence is (1/2) ||y - x||^2."""
     return DistanceGenerator(
         dim=dim,
-        value=lambda x: 0.5 * float(x @ x),
+        value=lambda x: 0.5 * _dot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         hessian_solve=lambda point, rhs: np.asarray(rhs, dtype=float),
         hessian_apply=lambda point, d: np.asarray(d, dtype=float),
@@ -257,7 +285,7 @@ def diagonal_quadratic(weights) -> DistanceGenerator:
         raise ConfigurationError("diagonal weights must be finite and positive")
     return DistanceGenerator(
         dim=w.size,
-        value=lambda x: 0.5 * float(x @ (w * x)),
+        value=lambda x: 0.5 * _dot(x, w * x),
         gradient=lambda x: w * x,
         hessian_solve=lambda point, rhs: rhs / w,
         hessian_apply=lambda point, d: w * d,
@@ -288,7 +316,7 @@ def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
         raise ConfigurationError("need dim >= 1 and 0 < margin < 1/dim")
     return DistanceGenerator(
         dim=dim,
-        value=lambda x: float(np.sum(x * np.log(x))),
+        value=lambda x: np.sum(x * np.log(x), axis=-1),
         gradient=lambda x: 1.0 + np.log(x),
         hessian_solve=lambda point, rhs: rhs * point,
         hessian_apply=lambda point, d: d / point,
@@ -313,8 +341,8 @@ def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
         raise ConfigurationError(f"Q must be positive definite (min eigenvalue {eigs[0]:g})")
     return DistanceGenerator(
         dim=Q.shape[0],
-        value=lambda x: 0.5 * float(x @ (Q @ x)),
-        gradient=lambda x: Q @ x,
+        value=lambda x: 0.5 * _dot(x, x @ Q.T),
+        gradient=lambda x: x @ Q.T,
         hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
         hessian_apply=lambda point, d: Q @ d,
         strong_convexity=float(eigs[0]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lyapunov, problems, smoothing
 from .config import ExperimentConfig, load_config
-from .dynamics import IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, integrate, write_table
 from .errors import (
     ConfigurationError,
     FitError,
@@ -95,7 +95,7 @@ def _run_experiment(cfg: ExperimentConfig):
 
 def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
     mono = lyapunov.monotonicity_report(
-        traj, tolerance=cfg.tol_mono_scale * max(1.0, traj.records[0].V)
+        traj, tolerance=cfg.tol_mono_scale * max(1.0, traj.records.V[0])
     )
     bounds = lyapunov.bound_check(traj, rel_tolerance=cfg.bound_rel_tol)
     integrals = lyapunov.integral_estimates(traj, rel_tolerance=cfg.integral_rel_tol)
@@ -141,7 +141,7 @@ def cmd_simulate(args) -> int:
     if "csv" in cfg.formats:
         traj.write_csv(out / "trajectory.csv")
     if "json" in cfg.formats:
-        _write_json(out / "trajectory.json", traj.to_dict())
+        traj.write_json(out / "trajectory.json")
     _write_json(out / "summary.json", summary)
     if not args.quiet:
         state = "pass" if summary["pass"] else "FAIL"
@@ -162,11 +162,8 @@ def cmd_check_assumptions(args) -> int:
     fam_sigma = getattr(family, "sigma", None)
     sigma = 0.0 if fam_sigma is None else fam_sigma
     report = _condition_report(family, sigma, grid, symmetric=True)
-    with open(out / "slacks.csv", "w", newline="\n") as fh:
-        fh.write("t,slack1,slack2,slack3,slack4\n")
-        for k in range(grid.size):
-            row = [grid[k]] + [report.slacks[i, k] for i in range(4)]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    names = ["t", "slack1", "slack2", "slack3", "slack4"]
+    write_table(out / "slacks.csv", names, [grid, report.slacks.T])
     _write_json(out / "assumptions.json", report.to_dict())
     if not args.quiet:
         state = "pass" if report.passed else "FAIL"

@@ -17,16 +17,22 @@ composes the step maps in vectorized passes, and walks only the composed
 maps (the "composed_maps" path).  Every other flow runs the stepping loop
 (the "stepping_loop" path), which is also the reference for the maps.
 `metadata["integrator"]["path"]` names the path taken.
+
+Either path hands its states to one shared check in blocks of consecutive
+check and record points; after the walk, `lyapunov.record_diagnostics`
+certifies the recorded states in one vectorized pass.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import lyapunov
 from .bregman import DistanceGenerator, Objective
 from .errors import (
     ConfigurationError,
@@ -71,18 +77,19 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded flow samples with per-sample diagnostics.
+    """Recorded flow samples with their diagnostics.
 
-    `times`, `states_x`, `states_z` are the recorded grid; `records` holds one
-    DiagnosticsRecord per sample.  The generator, objective, family, and
-    Lyapunov variant handles are kept for downstream checks; `metadata` is the
-    JSON-serializable description of the run.
+    `times`, `states_x`, `states_z` are the recorded grid; `records` holds the
+    diagnostics as one array per field (`lyapunov.Diagnostics`), which also
+    reads as a sequence of per-sample rows.  The generator, objective,
+    family, and Lyapunov variant handles are kept for downstream checks;
+    `metadata` is the JSON-serializable description of the run.
     """
 
     times: np.ndarray
     states_x: np.ndarray
     states_z: np.ndarray
-    records: list
+    records: lyapunov.Diagnostics
     metadata: dict
     h: DistanceGenerator
     f: Objective
@@ -130,6 +137,7 @@ class Trajectory:
     def write_csv(self, path) -> None:
         """Wire format: '.' decimal, LF endings, 17 significant digits."""
         n = self.states_x.shape[1]
+        d = self.records
         cols = (
             ["t"]
             + [f"x{i}" for i in range(n)]
@@ -137,23 +145,54 @@ class Trajectory:
             + ["V", "f_gap", "breg_xstar_z", "breg_xstar_x", "breg_z_x"]
             + [f"slack{i}" for i in range(1, 5)]
         )
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k, r in enumerate(self.records):
-                vals = (
-                    [self.times[k]]
-                    + list(self.states_x[k])
-                    + list(self.states_z[k])
-                    + [r.V, r.f_gap, r.breg_xstar_z, r.breg_xstar_x, r.breg_z_x]
-                    + [r.slack1, r.slack2, r.slack3, r.slack4]
-                )
-                fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        write_table(
+            path,
+            cols,
+            [self.times, self.states_x, self.states_z, d.V, d.f_gap, d.breg_xstar_z]
+            + [d.breg_xstar_x, d.breg_z_x, d.slack1, d.slack2, d.slack3, d.slack4],
+        )
 
     def to_dict(self) -> dict:
         return {
             "metadata": self.metadata,
             "samples": [r.to_dict() for r in self.records],
         }
+
+    def write_json(self, path) -> None:
+        """Write `to_dict()` as `json.dumps(..., indent=2, sort_keys=True)`
+        plus a newline would, one chunk of samples at a time."""
+        keys = sorted(lyapunov.DIAGNOSTIC_FIELDS)
+        # floats go through %r, which is json's float format except for the
+        # non-finite values, renamed below; no key contains "nan" or "inf"
+        sample = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }"
+        head = json.dumps({"metadata": self.metadata}, indent=2, sort_keys=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(head[: -len("\n}")] + ',\n  "samples": [\n')
+            sep = ""
+            for rows in _row_chunks([getattr(self.records, k) for k in keys]):
+                text = sep + ",\n".join(sample % tuple(r) for r in rows)
+                fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
+                sep = ",\n"
+            fh.write("\n  ]\n}\n")
+
+
+def _row_chunks(columns):
+    """Rows of the table whose columns (arrays of shape (m,) or (m, k)) are
+    given, as lists of Python floats, `lyapunov.ROW_CHUNK` rows at a time."""
+    m = len(columns[0])
+    for k0 in range(0, m, lyapunov.ROW_CHUNK):
+        yield np.column_stack([c[k0 : k0 + lyapunov.ROW_CHUNK] for c in columns]).tolist()
+
+
+def write_table(path, names, columns) -> None:
+    """CSV with a header row of `names` and one row per sample of `columns`
+    (arrays of shape (m,) or (m, k)): '.' decimal, LF endings, 17
+    significant digits, the format of f"{v:.17g}"."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for rows in _row_chunks(columns):
+            fh.write("".join(row % tuple(r) for r in rows))
 
 
 def initial_state(x0: Vector, v0: Vector, family: ScheduleFamily, t0: float) -> FlowState:
@@ -259,16 +298,16 @@ def _integrate_core(
     sigma: Optional[float] = None,
     gradient_override: Optional[Callable[[Vector, int], Vector]] = None,
     extra_metadata: Optional[dict] = None,
+    mu_grid: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """The integrator behind `integrate` and `smoothed_flow`.
 
     `gradient_override(x, j)`, if given, replaces grad f at half-step grid
     point j (see `half_step_grid`) and forces the stepping loop.  The
     trajectory's `gradient_of(x, t)` is grad f; a caller that overrides the
-    gradient attaches its own time form.
+    gradient attaches its own time form.  `mu_grid`, the smoothing parameter
+    on the half-step grid, gives the Smoothed variant's diagnostics their mu.
     """
-    from . import lyapunov  # deferred: lyapunov consumes dynamics types
-
     if config.t0 < family.t_min:
         raise TimeDomainError(
             f"t0 = {config.t0:g} is below the admissible start {family.t_min:g} of {family.name}"
@@ -326,49 +365,35 @@ def _integrate_core(
         walk = _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events)
 
     n_rec = 1 + np.count_nonzero((events % stride == 0) | (events == n_steps))
-    times = np.empty(n_rec)
+    rec_steps = np.zeros(n_rec, dtype=int)
     xs = np.empty((n_rec, x.size))
     zs = np.empty((n_rec, x.size))
-    times[0], xs[0], zs[0] = config.t0, x, z
-    rec0 = lyapunov.record_diagnostics(
-        variant, h, f, _sample_at(sg, 0), x, z, xstar, fstar, sigma, prev=None
-    )
-    records = [rec0]
-    last_valid = (config.t0, x.copy(), z.copy())
+    xs[0], zs[0] = x, z
+    r = 1
+    last_valid = FlowState(config.t0, x, z)
 
     with np.errstate(all="ignore"):
-        for step_idx, x, z in walk:
-            t_now = config.t0 + step_idx * hstep
+        for steps, X, Z in walk:
+            checked = (steps % check_every == 0) | (steps == n_steps)
+            last_valid = _check_block(h, config.t0, hstep, steps, X, Z, checked, last_valid)
+            rec = (steps % stride == 0) | (steps == n_steps)
+            k = r + np.count_nonzero(rec)
+            rec_steps[r:k], xs[r:k], zs[r:k] = steps[rec], X[rec], Z[rec]
+            r = k
 
-            if step_idx % check_every == 0 or step_idx == n_steps:
-                if not (np.isfinite(x).all() and np.isfinite(z).all()):
-                    raise DivergenceError(
-                        f"non-finite state at t = {t_now:g} (last valid t = {last_valid[0]:g})"
-                    )
-                if not (h.domain_guard(x) and h.domain_guard(z)):
-                    raise IntegrationError(
-                        f"state left the domain of {h.name} at t = {t_now:g}",
-                        last_state=FlowState(last_valid[0], last_valid[1], last_valid[2]),
-                    )
-                last_valid = (t_now, x.copy(), z.copy())
-
-            if step_idx % stride == 0 or step_idx == n_steps:
-                r = len(records)
-                times[r], xs[r], zs[r] = t_now, x, z
-                records.append(
-                    lyapunov.record_diagnostics(
-                        variant,
-                        h,
-                        f,
-                        _sample_at(sg, 2 * step_idx),
-                        x,
-                        z,
-                        xstar,
-                        fstar,
-                        sigma,
-                        prev=records[-1],
-                    )
-                )
+    grid_idx = 2 * rec_steps
+    diag = lyapunov.record_diagnostics(
+        variant,
+        h,
+        f,
+        ScheduleSample(**{name: v[grid_idx] for name, v in vars(sg).items()}),
+        xs,
+        zs,
+        xstar,
+        fstar,
+        sigma,
+        mu=None if mu_grid is None else mu_grid[grid_idx],
+    )
 
     metadata = {
         "problem": f.name,
@@ -386,7 +411,7 @@ def _integrate_core(
         },
         "x0": [float(v) for v in x0],
         "v0": [float(v) for v in v0],
-        "V0": float(rec0.V),
+        "V0": float(diag.V[0]),
         "standard_form": bool(
             h.identity_hessian
             and np.max(np.abs(sg.eta - 2.0 * sg.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(sg.eta)))
@@ -396,10 +421,10 @@ def _integrate_core(
         metadata.update(extra_metadata)
 
     return Trajectory(
-        times=times,
+        times=config.t0 + rec_steps * hstep,
         states_x=xs,
         states_z=zs,
-        records=records,
+        records=diag,
         metadata=metadata,
         h=h,
         f=f,
@@ -409,9 +434,37 @@ def _integrate_core(
     )
 
 
+def _check_block(h, t0, hstep, steps, X, Z, checked, last_valid):
+    """Finite and domain checks of a block of consecutive states X[i], Z[i]
+    after step steps[i]; only the rows flagged `checked` count.
+
+    One vectorized check covers the block.  Only when it fails are the
+    checked rows tried one by one, so the first bad one raises
+    `DivergenceError` (non-finite) or `IntegrationError` (out of domain, with
+    the last valid state).  Returns the last checked state of the block, or
+    `last_valid` when the block has none.
+    """
+    rows = np.flatnonzero(checked)
+    if not (np.isfinite(X).all() and np.isfinite(Z).all() and h.domain_guard(X) and h.domain_guard(Z)):
+        for i in rows:
+            t = float(t0 + steps[i] * hstep)
+            if not (np.isfinite(X[i]).all() and np.isfinite(Z[i]).all()):
+                raise DivergenceError(f"non-finite state at t = {t:g} (last valid t = {last_valid.t:g})")
+            if not (h.domain_guard(X[i]) and h.domain_guard(Z[i])):
+                raise IntegrationError(
+                    f"state left the domain of {h.name} at t = {t:g}", last_state=last_valid
+                )
+            last_valid = FlowState(t, X[i], Z[i])
+    if rows.size:
+        i = rows[-1]
+        last_valid = FlowState(float(t0 + steps[i] * hstep), X[i], Z[i])
+    return last_valid
+
+
 def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
-    """RK4 stepping on (x, z) for any generator and gradient; yields
-    (step, x, z) after each step listed in `events`.  `grad(x, j)` is the
+    """RK4 stepping on (x, z) for any generator and gradient; yields the
+    block (steps, X, Z) of one step listed in `events` at a time, so no step
+    is taken past a state that fails its check.  `grad(x, j)` is the
     objective's gradient at half-step grid point j.
 
     This is the general path and the reference the composed maps are tested
@@ -423,7 +476,7 @@ def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     half = 0.5 * hstep
     sixth = hstep / 6.0
     done = 0
-    for event in events.tolist():
+    for b, event in enumerate(events.tolist()):
         for k in range(done, event):
             j = 2 * k
             if identity:
@@ -460,7 +513,7 @@ def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
             x = x + sixth * (kx1 + 2.0 * (kx2 + kx3) + kx4)
             z = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         done = event
-        yield event, x, z
+        yield events[b : b + 1], x[None], z[None]
 
 
 def _declared_hessian(gradient, hessian, x, label):
@@ -567,8 +620,9 @@ def _compose_blocks(M, v, starts, lengths):
 
 
 def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
-    """RK4 on a linear flow as composed per-mode affine maps; yields
-    (step, x, z) after each step listed in `events`.
+    """RK4 on a linear flow as composed per-mode affine maps; yields the
+    states after the steps listed in `events` as one block (steps, X, Z) per
+    chunk.
 
     Each block of steps ends at an event.  A chunk of blocks has its step maps
     built in one vectorized pass and composed per block; the blocks are then
@@ -588,10 +642,7 @@ def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
         for b in range(ev.size):
             y = _mv(Mb[b], y) + vb[b]
             Y[b] = y
-        X = Y[..., 0] @ S.T
-        Z = Y[..., 1] @ S.T
-        for b in range(ev.size):
-            yield int(ev[b]), X[b], Z[b]
+        yield ev, Y[..., 0] @ S.T, Y[..., 1] @ S.T
 
 
 def _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z):
@@ -601,19 +652,3 @@ def _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
     return ea_g[j] * (z - x), zdot
-
-
-def _sample_at(sg: ScheduleSample, idx: int) -> ScheduleSample:
-    """Scalar view into a vectorized sample bundle."""
-    return ScheduleSample(
-        t=float(sg.t[idx]),
-        alpha=float(sg.alpha[idx]),
-        alpha_dot=float(sg.alpha_dot[idx]),
-        delta_dot=float(sg.delta_dot[idx]),
-        eta=float(sg.eta[idx]),
-        eta_dot=float(sg.eta_dot[idx]),
-        nu=float(sg.nu[idx]),
-        nu_dot=float(sg.nu_dot[idx]),
-        exp_pi=float(sg.exp_pi[idx]),
-        exp_pi_dot=float(sg.exp_pi_dot[idx]),
-    )

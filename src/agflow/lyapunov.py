@@ -12,14 +12,15 @@ accumulated integral estimates stay below V(t0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .bregman import DistanceGenerator, Objective, bregman_div
+from .bregman import DistanceGenerator, Objective, bregman_div, row_values
 from .errors import ConfigurationError, FitError, PreconditionError
-from .schedules import ScheduleSample
+from .schedules import ScheduleSample, condition_slacks
 
 
 class Standard:
@@ -46,35 +47,85 @@ class Smoothed:
     name = "smoothed"
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-sample certification data recorded along a trajectory.
+@dataclass(frozen=True, eq=False)
+class Diagnostics:
+    """Certification data along a trajectory, one array entry per recorded
+    sample (struct of arrays).
 
     slack1..slack4 are the condition left-hand sides at the sample (all must
     be <= 0 for an admissible schedule); integral_* are the running trapezoid
     accumulations of the three bounded integrands; budget is B(t) for smoothed
-    runs (0 otherwise).
+    runs (0 otherwise).  `len`, indexing, slicing and iteration treat it as a
+    sequence of `DiagnosticsRecord` rows.
     """
 
-    t: float
-    V: float
-    f_gap: float
-    breg_xstar_z: float
-    breg_xstar_x: float
-    breg_z_x: float
-    slack1: float
-    slack2: float
-    slack3: float
-    slack4: float
-    integral_xstar_z: float
-    integral_xstar_x: float
-    integral_z_x: float
-    budget: float
-    nu: float
-    eta: float
+    t: np.ndarray
+    V: np.ndarray
+    f_gap: np.ndarray
+    breg_xstar_z: np.ndarray
+    breg_xstar_x: np.ndarray
+    breg_z_x: np.ndarray
+    slack1: np.ndarray
+    slack2: np.ndarray
+    slack3: np.ndarray
+    slack4: np.ndarray
+    integral_xstar_z: np.ndarray
+    integral_xstar_x: np.ndarray
+    integral_z_x: np.ndarray
+    budget: np.ndarray
+    nu: np.ndarray
+    eta: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.t.size)
+
+    def __getitem__(self, k):
+        cols = (getattr(self, name) for name in DIAGNOSTIC_FIELDS)
+        if isinstance(k, slice):
+            return Diagnostics(*(c[k] for c in cols))
+        return DiagnosticsRecord(*(float(c[k]) for c in cols))
+
+    def __iter__(self):
+        for k0 in range(0, len(self), ROW_CHUNK):
+            cols = [getattr(self, name)[k0 : k0 + ROW_CHUNK].tolist() for name in DIAGNOSTIC_FIELDS]
+            yield from map(DiagnosticsRecord._make, zip(*cols))
+
+
+DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(Diagnostics))
+
+# Rows per chunk when diagnostics or states are turned into Python objects.
+ROW_CHUNK = 1024
+
+
+class DiagnosticsRecord(namedtuple("DiagnosticsRecord", DIAGNOSTIC_FIELDS)):
+    """One recorded sample of `Diagnostics`, as Python floats."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in self.__dataclass_fields__}
+        return self._asdict()
+
+
+def _energy(variant, h: DistanceGenerator, s: ScheduleSample, x, xstar, d_xstar_z, f_gap, mu):
+    """V of the variant from its parts, at one state or a row batch of them.
+
+    `d_xstar_z` is D_h(x*, z) and `f_gap` is f(x) - f(x*); `mu` is the
+    smoothing parameter at each state (Smoothed variant only).
+    """
+    if isinstance(variant, Smoothed):
+        a = variant.approximation
+        mu_col = np.asarray(mu, dtype=float)[..., None]
+        rows = np.shape(x)[:-1]
+        gap = (
+            row_values("approximation.value", a.value(x, mu_col), rows)
+            + variant.beta_s * mu
+            - a.value(xstar, mu_col)
+        )
+    else:
+        gap = f_gap
+        if isinstance(variant, Symmetric):
+            d_xstar_z = d_xstar_z + s.exp_pi * bregman_div(h, x, xstar)
+    return np.exp(s.nu) * (np.exp(s.eta) * d_xstar_z + gap)
 
 
 def lyapunov_value(
@@ -88,22 +139,18 @@ def lyapunov_value(
     """Evaluate the variant's V at one flow state."""
     if xstar is None:
         raise ConfigurationError("objective has no declared minimizer")
+    if isinstance(variant, Symmetric) and not h.symmetric:
+        raise PreconditionError("symmetric variant requires a symmetric generator")
     xstar = np.asarray(xstar, dtype=float)
-    d_xstar_z = bregman_div(h, xstar, state.z)
-    if isinstance(variant, Smoothed):
-        mu = float(variant.mu_schedule.mu(s.t))
-        a = variant.approximation
-        gap_term = (
-            float(a.value(state.x, mu)) + variant.beta_s * mu - float(a.value(xstar, mu))
-        )
-        return float(np.exp(s.nu) * (np.exp(s.eta) * d_xstar_z + gap_term))
     fstar = f.optimal_value if f.optimal_value is not None else float(f.value(xstar))
-    gap = float(f.value(state.x)) - fstar
-    if isinstance(variant, Symmetric):
-        if not h.symmetric:
-            raise PreconditionError("symmetric variant requires a symmetric generator")
-        d_xstar_z = d_xstar_z + s.exp_pi * bregman_div(h, state.x, xstar)
-    return float(np.exp(s.nu) * (np.exp(s.eta) * d_xstar_z + gap))
+    mu = variant.mu_schedule.mu(s.t) if isinstance(variant, Smoothed) else None
+    d_xstar_z = bregman_div(h, xstar, state.z)
+    return float(_energy(variant, h, s, state.x, xstar, d_xstar_z, f.value(state.x) - fstar, mu))
+
+
+def _cumulative_trapezoid(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of g over t, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (g[:-1] + g[1:]))))
 
 
 def record_diagnostics(
@@ -116,76 +163,48 @@ def record_diagnostics(
     xstar: np.ndarray,
     fstar: float,
     sigma: float,
-    prev: Optional[DiagnosticsRecord],
-) -> DiagnosticsRecord:
-    """Build one diagnostics sample, accumulating integrals from `prev`."""
+    mu: Optional[np.ndarray] = None,
+) -> Diagnostics:
+    """Diagnostics of a whole trajectory in one vectorized pass.
+
+    `s` is the schedule sampled at the m recorded times (array fields), `x`
+    and `z` the recorded states, shape (m, n).  For the Smoothed variant `mu`
+    holds mu at the recorded times; when it is None the schedule's `mu` is
+    evaluated there once.
+    """
     d_xstar_z = bregman_div(h, xstar, z)
     d_xstar_x = bregman_div(h, xstar, x)
     d_z_x = bregman_div(h, z, x)
-    f_gap = float(f.value(x)) - fstar
+    f_gap = row_values(f"{f.name}.value", f.value(x), x.shape[:-1]) - fstar
+    slack1, slack2, slack3, slack4 = condition_slacks(s, sigma)
 
-    ea = np.exp(s.alpha)
-    K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-    epa = s.exp_pi * ea
-    slack1 = s.nu_dot - ea
-    slack2 = -K + s.nu_dot + s.eta_dot + epa
-    slack3 = (
-        K
-        - sigma * np.exp(s.alpha - s.eta)
-        - epa
-        + (s.nu_dot + s.eta_dot) * s.exp_pi
-        + s.exp_pi_dot
-    )
-    slack4 = -K - epa
-
+    budget = np.zeros_like(s.t)
     if isinstance(variant, Smoothed):
-        mu = float(variant.mu_schedule.mu(s.t))
-        a = variant.approximation
-        gap_term = float(a.value(x, mu)) + variant.beta_s * mu - float(a.value(xstar, mu))
-        V = float(np.exp(s.nu) * (np.exp(s.eta) * d_xstar_z + gap_term))
-        budget = (
-            variant.beta_s * float(variant.mu_schedule.budget(prev.t if prev else s.t, s.t))
-            + (prev.budget if prev else 0.0)
-        )
-    else:
-        div = d_xstar_z
-        if isinstance(variant, Symmetric):
-            div = div + s.exp_pi * bregman_div(h, x, xstar)
-        V = float(np.exp(s.nu) * (np.exp(s.eta) * div + f_gap))
-        budget = 0.0
+        sched = variant.mu_schedule
+        if mu is None:
+            mu = row_values("mu", sched.mu(s.t), s.t.shape)
+        growth = row_values("budget", sched.budget(s.t[:-1], s.t[1:]), (s.t.size - 1,))
+        budget = np.concatenate(([0.0], np.cumsum(variant.beta_s * growth)))
+    V = _energy(variant, h, s, x, xstar, d_xstar_z, f_gap, mu)
 
     ene = np.exp(s.nu + s.eta)
-    g3 = ene * (-slack2) * d_xstar_z
-    g4 = ene * (-slack3) * d_xstar_x
-    g5 = ene * (-slack4) * d_z_x
-    if prev is None:
-        i3 = i4 = i5 = 0.0
-    else:
-        dt = s.t - prev.t
-        # trapezoid on the recorded grid; integrand values are reconstructible
-        # from the stored slacks and Bregman entries
-        ene_p = np.exp(prev.nu + prev.eta)
-        i3 = prev.integral_xstar_z + 0.5 * dt * (ene_p * (-prev.slack2) * prev.breg_xstar_z + g3)
-        i4 = prev.integral_xstar_x + 0.5 * dt * (ene_p * (-prev.slack3) * prev.breg_xstar_x + g4)
-        i5 = prev.integral_z_x + 0.5 * dt * (ene_p * (-prev.slack4) * prev.breg_z_x + g5)
-
-    return DiagnosticsRecord(
-        t=float(s.t),
+    return Diagnostics(
+        t=s.t,
         V=V,
         f_gap=f_gap,
         breg_xstar_z=d_xstar_z,
         breg_xstar_x=d_xstar_x,
         breg_z_x=d_z_x,
-        slack1=float(slack1),
-        slack2=float(slack2),
-        slack3=float(slack3),
-        slack4=float(slack4),
-        integral_xstar_z=float(i3),
-        integral_xstar_x=float(i4),
-        integral_z_x=float(i5),
-        budget=float(budget),
-        nu=float(s.nu),
-        eta=float(s.eta),
+        slack1=slack1,
+        slack2=slack2,
+        slack3=slack3,
+        slack4=slack4,
+        integral_xstar_z=_cumulative_trapezoid(s.t, ene * (-slack2) * d_xstar_z),
+        integral_xstar_x=_cumulative_trapezoid(s.t, ene * (-slack3) * d_xstar_x),
+        integral_z_x=_cumulative_trapezoid(s.t, ene * (-slack4) * d_z_x),
+        budget=budget,
+        nu=s.nu,
+        eta=s.eta,
     )
 
 
@@ -284,24 +303,22 @@ def _clamp_dust(value: float) -> float:
 def monotonicity_report(traj, tolerance: Optional[float] = None) -> MonotonicityReport:
     """Max consecutive V increment; for smoothed runs the per-step budget
     increment is the only allowed growth."""
-    records = traj.records
-    if len(records) < 2:
+    d = traj.records
+    if len(d) < 2:
         raise ConfigurationError("need at least 2 recorded samples")
-    V = np.array([r.V for r in records])
-    V0 = V[0]
+    V0 = d.V[0]
     tol = 1e-8 * max(1.0, V0) if tolerance is None else tolerance
-    inc = np.diff(V)
+    inc = np.diff(d.V)
     smoothed = isinstance(traj.variant, Smoothed)
     if smoothed:
-        budget = np.array([r.budget for r in records])
-        inc = inc - np.diff(budget)
+        inc = inc - np.diff(d.budget)
     k = int(np.argmax(inc))
     return MonotonicityReport(
         passed=bool(inc[k] <= tol),
         max_increment=float(inc[k]),
         tolerance=float(tol),
-        argmax_time=float(records[k + 1].t),
-        num_samples=len(records),
+        argmax_time=float(d.t[k + 1]),
+        num_samples=len(d),
         smoothed=smoothed,
     )
 
@@ -315,16 +332,10 @@ def _bound_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def bound_check(traj, rel_tolerance: float = 1e-6) -> BoundReport:
     """Verify f_gap <= e^-nu (V0 + B) and e^eta D_h(x*, z) <= e^-nu (V0 + B)
     at every recorded sample (B = 0 for unsmoothed runs)."""
-    records = traj.records
-    V0 = records[0].V
-    nu = np.array([r.nu for r in records])
-    eta = np.array([r.eta for r in records])
-    budget = np.array([r.budget for r in records])
-    rhs = np.exp(-nu) * (V0 + budget)
-    gap = np.array([r.f_gap for r in records])
-    div = np.exp(eta) * np.array([r.breg_xstar_z for r in records])
-    m1 = _bound_margin(gap, rhs)
-    m2 = _bound_margin(div, rhs)
+    d = traj.records
+    rhs = np.exp(-d.nu) * (d.V[0] + d.budget)
+    m1 = _bound_margin(d.f_gap, rhs)
+    m2 = _bound_margin(np.exp(d.eta) * d.breg_xstar_z, rhs)
     return BoundReport(
         passed=bool(max(m1, m2) <= rel_tolerance),
         worst_gap_margin=m1,
@@ -345,24 +356,18 @@ def integral_estimates(traj, rel_tolerance: float = 1e-3) -> IntegralReport:
     runs (eta = 2*alpha, euclidean h) the z/x integral equals the kinetic
     integral of e^nu (coef) ||xdot||^2 / 2.
     """
-    records = traj.records
-    V0 = records[0].V
-    budget_end = records[-1].budget
-    bound = V0 + budget_end
-    coefs = {
-        "xstar_z": -np.array([r.slack2 for r in records]),
-        "xstar_x": -np.array([r.slack3 for r in records]),
-        "z_x": -np.array([r.slack4 for r in records]),
-    }
+    d = traj.records
+    bound = d.V[0] + d.budget[-1]
+    coefs = {"xstar_z": -d.slack2, "xstar_x": -d.slack3, "z_x": -d.slack4}
     # round-off dust from nonnegative integrands is clamped in the report only;
     # Lyapunov arithmetic never clamps
     finals = {
-        "xstar_z": _clamp_dust(records[-1].integral_xstar_z),
-        "xstar_x": _clamp_dust(records[-1].integral_xstar_x),
-        "z_x": _clamp_dust(records[-1].integral_z_x),
+        "xstar_z": _clamp_dust(float(d.integral_xstar_z[-1])),
+        "xstar_x": _clamp_dust(float(d.integral_xstar_x[-1])),
+        "z_x": _clamp_dust(float(d.integral_z_x[-1])),
     }
     # scale for classifying a coefficient as identically zero vs violated
-    s0 = traj.family.sample(float(records[0].t))
+    s0 = traj.family.sample(float(d.t[0]))
     scale = 1.0 + abs(s0.delta_dot) + float(np.exp(s0.alpha))
     violation = None
     degenerate = {}
@@ -394,7 +399,7 @@ def fit_rate(traj, model: str, window) -> FittedRate:
         raise ConfigurationError(f"unknown rate model {model!r}")
     lo, hi = float(window[0]), float(window[1])
     t = traj.times
-    gap = np.array([r.f_gap for r in traj.records])
+    gap = traj.records.f_gap
     in_win = (t >= lo) & (t <= hi)
     if not np.any(in_win):
         raise FitError(f"no samples in window [{lo:g}, {hi:g}]")

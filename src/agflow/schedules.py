@@ -12,6 +12,7 @@ bundle of arrays, which the checkers and the integrator rely on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -371,11 +372,19 @@ class ConditionReport:
         }
 
 
-def _sampled_arrays(family: ScheduleFamily, grid: np.ndarray):
-    s = family.sample(np.asarray(grid, dtype=float))
+def condition_slacks(s: ScheduleSample, sigma: float) -> tuple:
+    """The four `general2` condition slacks (GENERAL2_ITEMS) at the sample s,
+    whose fields are scalars or arrays alike.  Each must be <= 0 for an
+    admissible schedule; with exp(pi) = 0 they are the `general` ones."""
     ea = np.exp(s.alpha)
     K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-    return s, ea, K
+    epa = s.exp_pi * ea
+    return (
+        s.nu_dot - ea,
+        -K + s.nu_dot + s.eta_dot + epa,
+        K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
+        -K - epa,
+    )
 
 
 def check_general(
@@ -384,17 +393,12 @@ def check_general(
     grid: np.ndarray,
     tolerance: float = CONDITION_TOLERANCE,
 ) -> ConditionReport:
-    """Base admissibility conditions for the standard Lyapunov function."""
+    """Base admissibility conditions for the standard Lyapunov function:
+    `condition_slacks` with exp(pi) = 0."""
     grid = np.asarray(grid, dtype=float)
-    s, ea, K = _sampled_arrays(family, grid)
-    slacks = np.vstack(
-        [
-            s.nu_dot - ea,
-            -K + s.nu_dot + s.eta_dot,
-            K - sigma * np.exp(s.alpha - s.eta),
-            -K,
-        ]
-    )
+    s = family.sample(grid)
+    zero = np.zeros_like(grid)
+    slacks = np.vstack(condition_slacks(dataclasses.replace(s, exp_pi=zero, exp_pi_dot=zero), sigma))
     return ConditionReport("general", GENERAL_ITEMS, grid, slacks, tolerance)
 
 
@@ -412,20 +416,12 @@ def check_general2(
     symmetric=False with exp(pi) > 0 on the grid is a precondition error.
     """
     grid = np.asarray(grid, dtype=float)
-    s, ea, K = _sampled_arrays(family, grid)
+    s = family.sample(grid)
     if np.any(s.exp_pi > 0) and not symmetric:
         raise PreconditionError(
             "schedule uses exp(pi) > 0, which requires a symmetric Bregman divergence"
         )
-    epa = s.exp_pi * ea
-    slacks = np.vstack(
-        [
-            s.nu_dot - ea,
-            -K + s.nu_dot + s.eta_dot + epa,
-            K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
-            -K - epa,
-        ]
-    )
+    slacks = np.vstack(condition_slacks(s, sigma))
     return ConditionReport("general2", GENERAL2_ITEMS, grid, slacks, tolerance)
 
 
@@ -435,7 +431,9 @@ def check_para(
     grid: np.ndarray,
     tolerance: float = CONDITION_TOLERANCE,
 ) -> ConditionReport:
-    """Standard-form conditions, specialized to eta = 2*alpha and the l2 generator."""
+    """Standard-form conditions, specialized to eta = 2*alpha and the l2
+    generator: with eta = 2*alpha, K = K2 = delta_dot + alpha_dot - e^alpha
+    and the `condition_slacks` read as PARA_ITEMS."""
     grid = np.asarray(grid, dtype=float)
     s = family.sample(grid)
     dev = np.max(np.abs(s.eta - 2.0 * s.alpha) / (1.0 + np.abs(s.eta)))
@@ -443,17 +441,7 @@ def check_para(
         raise PreconditionError(
             f"standard form requires eta = 2*alpha; max relative deviation {dev:.3e}"
         )
-    ea = np.exp(s.alpha)
-    K2 = s.delta_dot + s.alpha_dot - ea
-    epa = s.exp_pi * ea
-    slacks = np.vstack(
-        [
-            s.nu_dot - ea,
-            -K2 + s.nu_dot + 2.0 * s.alpha_dot + epa,
-            K2 - sigma * np.exp(-s.alpha) + (s.nu_dot + 2.0 * s.alpha_dot - ea) * s.exp_pi + s.exp_pi_dot,
-            -K2 - epa,
-        ]
-    )
+    slacks = np.vstack(condition_slacks(s, sigma))
     return ConditionReport("para", PARA_ITEMS, grid, slacks, tolerance)
 
 

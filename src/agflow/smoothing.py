@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import DistanceGenerator, Objective
+from .bregman import DistanceGenerator, Objective, row_values
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core, half_step_grid
 from .errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
 from .lyapunov import Smoothed
@@ -55,7 +55,9 @@ class SmoothingSchedule:
 
     ``budget(t_a, t_b)`` returns int_{t_a}^{t_b} nu_dot e^nu mu dt (closed form
     when the schedule was built by `rate_preserving_mu`); multiply by beta_s
-    for the Lyapunov growth allowance B.
+    for the Lyapunov growth allowance B.  Both take arrays of times
+    elementwise: the diagnostics evaluate the budget of every recorded
+    interval in one call.
     """
 
     mu: Callable[[float], float]
@@ -191,12 +193,7 @@ _CERT_CHUNK = 1024
 def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
     """`batch` as an array, once it has `shape` and (if given) its row 0
     agrees with `one_point`, the same callable evaluated at row 0 alone."""
-    batch = np.asarray(batch)
-    if batch.shape != shape:
-        raise ConfigurationError(
-            f"{name} returned shape {batch.shape} on a row batch, expected {shape}; "
-            "it must take row batches"
-        )
+    batch = row_values(name, batch, shape)
     if one_point is None:
         return batch
     if np.shape(one_point) != shape[1:] or not np.allclose(
@@ -304,7 +301,7 @@ def rate_preserving_mu(
 
     return SmoothingSchedule(
         mu=mu,
-        budget=lambda ta, tb: float(antideriv(tb) - antideriv(ta)),
+        budget=lambda ta, tb: antideriv(tb) - antideriv(ta),
         description=desc,
     )
 
@@ -316,7 +313,7 @@ def constant_mu(value: float, family: ScheduleFamily) -> SmoothingSchedule:
         raise ScheduleError("mu must be positive")
 
     def budget(ta, tb):
-        return value * float(np.exp(family.sample(tb).nu) - np.exp(family.sample(ta).nu))
+        return value * (np.exp(family.sample(tb).nu) - np.exp(family.sample(ta).nu))
 
     return SmoothingSchedule(
         mu=lambda t: value + 0.0 * np.asarray(t, dtype=float),
@@ -340,8 +337,8 @@ def smoothed_flow(
     Diagnostics use the smoothed Lyapunov variant and accumulate the budget
     B(t) = beta_s int nu_dot e^nu mu.  mu is evaluated once, vectorized, on
     the integrator's half-step grid; it must be positive, finite and
-    nonincreasing at every grid point, and the stepping loop reads it there
-    by grid index.
+    nonincreasing at every grid point, and the stepping loop and the
+    diagnostics read it there by grid index.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
@@ -368,6 +365,7 @@ def smoothed_flow(
         sigma=sigma,
         gradient_override=grad,
         extra_metadata={"smoothing": {"approximation": a.name, "mu": mu_sched.description}},
+        mu_grid=mu_g,
     )
     return dataclasses.replace(
         traj, gradient_of=lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))

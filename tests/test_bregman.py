@@ -190,3 +190,48 @@ def test_non_spd_matrix_rejected():
         ag.from_quadratic_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ConfigurationError):
         ag.diagonal_quadratic([1.0, -1.0])
+
+
+@pytest.mark.parametrize("h", all_generators(), ids=lambda h: h.name)
+def test_generator_row_batches_match_one_point_calls(h):
+    rng = np.random.default_rng(3)
+    ys = np.array([h.draw(rng) for _ in range(6)]).reshape(2, 3, h.dim)
+    xs = np.array([h.draw(rng) for _ in range(6)]).reshape(2, 3, h.dim)
+
+    def close(batch, one_point):
+        one_point = np.asarray(one_point, dtype=float)
+        return np.max(np.abs(batch - one_point)) <= 1e-12 * max(1e-300, np.max(np.abs(one_point)))
+
+    value = h.value(xs)
+    assert np.shape(value) == (2, 3)
+    assert close(value, [[h.value(x) for x in row] for row in xs])
+    grad = h.gradient(xs)
+    assert np.shape(grad) == (2, 3, h.dim)
+    assert close(grad, [[h.gradient(x) for x in row] for row in xs])
+    assert h.domain_guard(xs) is True
+    div = ag.bregman_div(h, ys, xs)
+    assert div.shape == (2, 3)
+    one = [[ag.bregman_div(h, y, x) for y, x in zip(yr, xr)] for yr, xr in zip(ys, xs)]
+    assert all(isinstance(v, float) for row in one for v in row)
+    assert close(div, one)
+    # a single point broadcasts against a batch
+    y = ys[0, 0]
+    assert close(ag.bregman_div(h, y, xs), [[ag.bregman_div(h, y, x) for x in r] for r in xs])
+
+
+def test_generator_without_row_batches_is_configuration_error():
+    base = ag.squared_euclidean(2)
+    flat = DistanceGenerator(
+        dim=2,
+        value=lambda x: 0.5 * np.sum(x * x),  # no axis: one value for a batch
+        gradient=base.gradient,
+        hessian_solve=base.hessian_solve,
+        hessian_apply=base.hessian_apply,
+        strong_convexity=1.0,
+        symmetric=True,
+        domain_guard=base.domain_guard,
+        name="flat",
+    )
+    assert ag.bregman_div(flat, np.ones(2), np.zeros(2)) == 1.0
+    with pytest.raises(ConfigurationError, match="flat.value"):
+        ag.bregman_div(flat, np.ones(2), np.zeros((3, 2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_integrate_constant_damping_rate_bound():
 def test_zero_objective_is_stationary():
     f = ag.Objective(
         dim=1,
-        value=lambda x: 0.0,
+        value=lambda x: np.zeros(np.shape(x)[:-1]),
         gradient=lambda x: np.zeros(1),
         sigma=0.0,
         minimizer=np.array([0.5]),
@@ -396,3 +397,102 @@ def test_non_identity_generator_paths_agree():
     scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
     assert np.max(np.abs(fast.states_x[-1] - ref.states_x[-1])) <= 1e-11 * scale
     assert np.max(np.abs(fast.states_z[-1] - ref.states_z[-1])) <= 1e-11 * scale
+
+
+def _old_csv(traj) -> str:
+    """The per-sample f-string CSV writer the row-template writer replaced."""
+    n = traj.states_x.shape[1]
+    cols = (
+        ["t"] + [f"x{i}" for i in range(n)] + [f"z{i}" for i in range(n)]
+        + ["V", "f_gap", "breg_xstar_z", "breg_xstar_x", "breg_z_x"]
+        + [f"slack{i}" for i in range(1, 5)]
+    )
+    lines = [",".join(cols)]
+    for k, r in enumerate(traj.records):
+        vals = (
+            [traj.times[k]] + list(traj.states_x[k]) + list(traj.states_z[k])
+            + [r.V, r.f_gap, r.breg_xstar_z, r.breg_xstar_x, r.breg_z_x]
+            + [r.slack1, r.slack2, r.slack3, r.slack4]
+        )
+        lines.append(",".join(f"{v:.17g}" for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def test_writers_match_json_dumps_and_old_csv(tmp_path):
+    import json
+
+    spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.5]))
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=2.5, step=1e-3, record_stride=1)
+    traj = ag.integrate(
+        spec.generator, spec.objective, ag.ConstantDamping(2.0, 1.0), cfg, np.array([1.0, -1.0])
+    )
+    assert len(traj) > 2 * 1024  # several row chunks
+    special = {"V": np.nan, "f_gap": np.inf, "slack3": -np.inf, "budget": np.nan, "nu": -0.0}
+    d = traj.records
+    bad = {}
+    for k, (name, value) in enumerate(special.items()):
+        col = getattr(d, name).copy()
+        col[[k, 1024 + k, -1]] = value
+        bad[name] = col
+    traj = dataclasses.replace(traj, records=dataclasses.replace(d, **bad))
+    traj.metadata["note"] = [np.nan, np.inf, -np.inf]
+
+    traj.write_json(tmp_path / "t.json")
+    expect = json.dumps(traj.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert "NaN" in expect and "-Infinity" in expect
+    assert (tmp_path / "t.json").read_bytes() == expect.encode()
+    traj.write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == _old_csv(traj).encode()
+
+
+@pytest.mark.parametrize("failure", ["divergence", "domain_exit", "domain_excursion"])
+def test_failure_inside_a_composed_block_matches_stepping_loop(failure):
+    # record_stride 1 checks every step, and one composed-map chunk holds
+    # every step of these one-mode flows, so the failure falls mid-block
+    fam = ag.ConstantDamping(2.0, 1.0)
+    x0, v0 = np.zeros(1), np.zeros(1)
+    boxed = dataclasses.replace(
+        ag.squared_euclidean(1), domain_guard=lambda x: bool(np.all(np.abs(x) < 1.0)), name="boxed"
+    )
+    if failure == "divergence":
+        spec = ag.quadratic(np.array([[400.0]]), np.zeros(1))
+        h, f, expected = spec.generator, spec.objective, DivergenceError
+        x0 = np.ones(1)
+        cfg = ag.IntegratorConfig(t0=0.0, t_end=200.0, step=1.0, record_stride=1)
+    elif failure == "domain_exit":
+        h, expected = boxed, IntegrationError
+        f = ag.Objective(
+            dim=1,
+            value=lambda x: 0.5 * np.sum((x - 2.0) ** 2, axis=-1),
+            gradient=lambda x: x - 2.0,
+            sigma=1.0,
+            minimizer=np.array([0.0]),  # placeholder inside the box for diagnostics
+            optimal_value=2.0,
+            hessian=np.eye(1),
+        )
+        cfg = ag.IntegratorConfig(t0=0.0, t_end=10.0, step=1e-2, record_stride=1)
+    else:
+        # z leaves the box from step 61 to 512, then both settle at x* = 0
+        # inside it, so only a check of every checked row catches the exit
+        h, f, expected = boxed, ag.quadratic(np.eye(1), np.zeros(1)).objective, IntegrationError
+        x0 = np.array([0.9])
+        fam = ag.ConstantDamping(0.5, 1.0)
+        cfg = ag.IntegratorConfig(t0=0.0, t_end=10.0, step=1e-2, record_stride=1)
+    errors = {}
+    loop_f = dataclasses.replace(f, hessian=None)
+    for path, objective in (("composed_maps", f), ("stepping_loop", loop_f)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(expected) as err:
+                ag.integrate(h, objective, fam, cfg, x0, v0)
+        errors[path] = err.value
+    fast, ref = errors["composed_maps"], errors["stepping_loop"]
+    assert str(fast) == str(ref)
+    if failure == "divergence":
+        assert "last valid t = " in str(ref) and "t = 0 " not in str(ref)
+    else:
+        assert 0.0 < ref.last_state.t < cfg.t_end
+        assert fast.last_state.t == ref.last_state.t
+        assert fast.last_state.x == pytest.approx(ref.last_state.x, rel=1e-12)
+        assert fast.last_state.z == pytest.approx(ref.last_state.z, rel=1e-12)
+        assert abs(fast.last_state.x[0]) < 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,114 @@ def test_reports_serialize():
     assert ag.integral_estimates(traj).to_dict()["passed"] is True
     fitted = ag.fit_rate(traj, "exponential", (2.5, 5.0))
     assert fitted.to_dict()["rate"] == pytest.approx(fitted.rate)
+
+
+def _oracle_diagnostics(traj):
+    """Per-sample diagnostics written out from their definitions: a scalar
+    schedule sample and scalar bregman_div per record, the slack formulas,
+    and a sequential trapezoid and budget."""
+    h, f, variant = traj.h, traj.f, traj.variant
+    xstar = np.asarray(f.minimizer, dtype=float)
+    fstar = f.optimal_value if f.optimal_value is not None else float(f.value(xstar))
+    sigma = traj.metadata["sigma"]
+    rows = []
+    for k in range(len(traj)):
+        t, x, z = float(traj.times[k]), traj.states_x[k], traj.states_z[k]
+        s = traj.family.sample(t)
+        d_xz = ag.bregman_div(h, xstar, z)
+        d_xx = ag.bregman_div(h, xstar, x)
+        d_zx = ag.bregman_div(h, z, x)
+        f_gap = float(f.value(x)) - fstar
+        ea = np.exp(s.alpha)
+        K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
+        epa = s.exp_pi * ea
+        slacks = (
+            s.nu_dot - ea,
+            -K + s.nu_dot + s.eta_dot + epa,
+            K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
+            -K - epa,
+        )
+        if isinstance(variant, ag.Smoothed):
+            a, mu = variant.approximation, float(variant.mu_schedule.mu(t))
+            gap = float(a.value(x, mu)) + variant.beta_s * mu - float(a.value(xstar, mu))
+            V = np.exp(s.nu) * (np.exp(s.eta) * d_xz + gap)
+            budget = 0.0
+            if rows:
+                grow = float(variant.mu_schedule.budget(rows[-1]["t"], t))
+                budget = rows[-1]["budget"] + variant.beta_s * grow
+        else:
+            div = d_xz
+            if isinstance(variant, ag.Symmetric):
+                div = div + s.exp_pi * ag.bregman_div(h, x, xstar)
+            V = np.exp(s.nu) * (np.exp(s.eta) * div + f_gap)
+            budget = 0.0
+        g = [np.exp(s.nu + s.eta) * (-c) * d for c, d in zip(slacks[1:], (d_xz, d_xx, d_zx))]
+        integrals = [0.0, 0.0, 0.0]
+        if rows:
+            dt = t - rows[-1]["t"]
+            integrals = [i + 0.5 * dt * (gp + gk) for i, gp, gk in zip(rows[-1]["I"], rows[-1]["g"], g)]
+        rows.append(
+            dict(
+                t=t, V=V, f_gap=f_gap, breg_xstar_z=d_xz, breg_xstar_x=d_xx, breg_z_x=d_zx,
+                slack1=slacks[0], slack2=slacks[1], slack3=slacks[2], slack4=slacks[3],
+                integral_xstar_z=integrals[0], integral_xstar_x=integrals[1],
+                integral_z_x=integrals[2], budget=budget, nu=s.nu, eta=s.eta, I=integrals, g=g,
+            )
+        )
+    return rows
+
+
+def _oracle_runs():
+    from agflow.cli import canonical_grid, run_canonical
+
+    for entry in canonical_grid():
+        yield entry["label"], run_canonical(entry, step=1e-2, record_stride=10)[0]
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    fam = ag.Hyperbolic(0.0)
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=14.0, step=1e-3, record_stride=10)
+    yield "smooth demo", ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, np.zeros(2))
+    flat = ag.flat_quadratic(np.array([[1.0, 2.0]]), np.array([1.0]))
+    h = ag.from_quadratic_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=10.0, step=1e-2, record_stride=5)
+    yield "symmetric", ag.integrate(
+        h, flat.objective, ag.PolynomialDamping(6.0), cfg, np.array([2.0, 1.0]), variant=ag.Symmetric()
+    )
+    quad = ag.quadratic(np.diag([1.0, 2.0]), np.array([0.6, 0.8]))
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=3.0, step=1e-2, record_stride=2)
+    yield "negative entropy", ag.integrate(
+        ag.negative_entropy(2), quad.objective, ag.PolynomialDamping(3.0), cfg, np.array([0.3, 0.4])
+    )
+
+
+# hyperbolic sigma=1 at step 1e-2 trips the stiff-layer warning; only the
+# diagnostics of the steps taken are compared here
+@pytest.mark.filterwarnings("ignore:step \\* exp:RuntimeWarning")
+def test_diagnostics_pass_matches_per_sample_oracle():
+    from agflow.lyapunov import DIAGNOSTIC_FIELDS
+
+    seen = set()
+    for label, traj in _oracle_runs():
+        seen.add(traj.variant.name)
+        rows = _oracle_diagnostics(traj)
+        d = traj.records
+        assert len(d) == len(rows) == len(traj), label
+        for name in DIAGNOSTIC_FIELDS:
+            ref = np.array([r[name] for r in rows])
+            got = getattr(d, name)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (label, name)
+        # the row view reads the same arrays
+        assert d[len(d) // 2].V == d.V[len(d) // 2]
+        assert [r.t for r in d[::7]] == d.t[::7].tolist()
+    assert seen == {"standard", "symmetric", "smoothed"}
+    assert traj.h.name == "negative_entropy"
+
+
+def test_diagnostics_reject_objective_without_row_batches():
+    spec = scalar_quadratic()
+    # a sum with no axis: right for one point, one value for a batch
+    f = dataclasses.replace(spec.objective, value=lambda x: 0.5 * np.sum(x * x))
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=1.0, step=1e-2)
+    with pytest.raises(ConfigurationError, match="row batches"):
+        ag.integrate(spec.generator, f, ag.ConstantDamping(2.0, 1.0), cfg, np.ones(1))
