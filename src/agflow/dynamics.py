@@ -7,16 +7,24 @@ The second-order flow is integrated as the first-order pair (x, z) with
                        [grad h(z) - grad h(x)]  -  e^(alpha - eta) grad f(x)
 
 using classical fixed-step 4th-order Runge-Kutta.  Schedule coefficients are
-precomputed on the half-step grid in one vectorized pass, so the per-step cost
-is a handful of small-vector operations.
+precomputed on the half-step grid in one vectorized pass.
 
 When f and h both declare constant Hessians (and no gradient override is
 given) the flow is linear in (x, z), and each RK4 step is an exact affine map.
 The integrator then splits the flow into decoupled 2x2 modes, builds and
 composes the step maps in vectorized passes, and walks only the composed
 maps (the "composed_maps" path).  Every other flow runs the stepping loop
-(the "stepping_loop" path), which is also the reference for the maps.
-`metadata["integrator"]["path"]` names the path taken.
+(the "stepping_loop" path).  It carries the deviation d = z - x, in which
+the flow reads
+
+    xdot = e^alpha d,   ddot = -(kappa + e^alpha) d + F(x, d)
+
+with one forcing F for every generator (`_stage_forcing`).  Each RK4 stage
+point and the step update are then linear in d and the stages' forcings, with
+coefficients that depend only on the half-step grid; they are built ahead,
+vectorized over chunks of steps, so a step costs four forcings and four tiny
+products.  `metadata["integrator"]` names the path taken and counts the
+steps and the gradient evaluations.
 
 Either path hands its states to one shared check in blocks of consecutive
 check and record points; after the walk, `lyapunov.record_diagnostics`
@@ -111,28 +119,29 @@ class Trajectory:
     def second_order_residual(self) -> float:
         """Max norm of the reconstructed second-order equation defect.
 
-        xddot (by central differencing of the recorded velocity) plus
-        (e^alpha - alpha_dot) xdot plus the solved damping/gradient group must
-        vanish along the flow; the defect measures recording-grid differencing
-        error, not integrator error.
+        With d = z - x the flow gives xddot = alpha_dot xdot + e^alpha ddot,
+        and ddot = -(kappa + e^alpha) d + F from the integrator's own stage
+        forcing (`_stage_forcing`).  xddot is taken by central differencing
+        of the recorded velocity, so the defect measures recording-grid
+        differencing error, not integrator error.
         """
         if len(self) < 3:
             raise ConfigurationError("need at least 3 recorded samples")
         s = self.family.sample(self.times)
         ea = np.exp(s.alpha)
         K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-        xdot = ea[:, None] * (self.states_z - self.states_x)
-        xddot = np.gradient(xdot, self.times, axis=0)
-        worst = 0.0
+        times = self.times.tolist()
+        grad = lambda x, k: self.gradient_of(x, times[k])  # noqa: E731
+        kappa, forcing = _stage_forcing(self.h, grad, K, np.exp(s.alpha - s.eta))
+        x, d = self.states_x, self.states_z - self.states_x
+        F = np.zeros_like(d)
         for k in range(1, len(self) - 1):
-            x, z = self.states_x[k], self.states_z[k]
-            grad = self.gradient_of(x, float(self.times[k]))
-            group = ea[k] * K[k] * (self.h.gradient(z) - self.h.gradient(x)) + np.exp(
-                s.alpha[k] * 2.0 - s.eta[k]
-            ) * grad
-            resid = xddot[k] + (ea[k] - s.alpha_dot[k]) * xdot[k] + self.h.hessian_solve(z, group)
-            worst = max(worst, float(np.linalg.norm(resid)))
-        return worst
+            forcing(k, x[k], d[k], F[k])
+        xdot = ea[:, None] * d
+        xddot = np.gradient(xdot, self.times, axis=0)
+        ddot = F - (kappa + ea)[:, None] * d
+        resid = xddot - s.alpha_dot[:, None] * xdot - ea[:, None] * ddot
+        return float(np.max(np.linalg.norm(resid[1:-1], axis=1)))
 
     def write_csv(self, path) -> None:
         """Wire format: '.' decimal, LF endings, 17 significant digits."""
@@ -207,19 +216,22 @@ def initial_state(x0: Vector, v0: Vector, family: ScheduleFamily, t0: float) -> 
 def rhs_general(
     h: DistanceGenerator, f: Objective, s: ScheduleSample, state: FlowState
 ):
-    """Right-hand side of the first-order pair for a general generator h."""
+    """Right-hand side (xdot, zdot) of the first-order pair for a general
+    generator h, evaluated by the stepping loop's own stage forcing:
+    xdot = e^alpha d and zdot = -kappa d + F with d = z - x."""
     x, z = state.x, state.z
     for label, p in (("x", x), ("z", z)):
         if not h.domain_guard(p):
             raise IntegrationError(f"{label} = {p} left the domain of {h.name}", last_state=state)
     ea = np.exp(s.alpha)
     K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-    rhs = -K * (h.gradient(z) - h.gradient(x)) - np.exp(s.alpha - s.eta) * f.gradient(x)
-    try:
-        zdot = h.hessian_solve(z, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
-    return ea * (z - x), zdot
+    kappa, forcing = _stage_forcing(
+        h, lambda x, j: f.gradient(x), np.array([K]), np.array([np.exp(s.alpha - s.eta)])
+    )
+    d = z - x
+    F = np.empty_like(d)
+    forcing(0, x, d, F)
+    return ea * d, F - kappa[0] * d
 
 
 def rhs_l2(f: Objective, s: ScheduleSample, state: FlowState):
@@ -236,21 +248,23 @@ def rhs_l2(f: Objective, s: ScheduleSample, state: FlowState):
     x, z = state.x, state.z
     ea = np.exp(s.alpha)
     # eta_dot = 2*alpha_dot here, so this equals delta_dot + alpha_dot - e^alpha;
-    # written this way it matches rhs_general bit-for-bit.
+    # written this way it matches rhs_general bit-for-bit on squared_euclidean.
     coef = s.delta_dot + s.eta_dot - s.alpha_dot - ea
     d = z - x
     return ea * d, -coef * d - np.exp(s.alpha - s.eta) * f.gradient(x)
 
 
-def _stability_check(family: ScheduleFamily, t0: float, step: float) -> None:
+def _stability_check(family: ScheduleFamily, t0: float, step: float) -> list:
+    """Warn about a stiff initial layer; returns the warnings' texts."""
     ea0 = float(np.exp(family.sample(t0).alpha))
-    if step * ea0 > 0.1:
-        warnings.warn(
-            f"step * exp(alpha(t0)) = {step * ea0:.3g} > 0.1; the explicit integrator "
-            "may be inaccurate in the initial layer (reduce step or start later)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if not step * ea0 > 0.1:
+        return []
+    text = (
+        f"step * exp(alpha(t0)) = {step * ea0:.3g} > 0.1; the explicit integrator "
+        "may be inaccurate in the initial layer (reduce step or start later)"
+    )
+    warnings.warn(text, RuntimeWarning, stacklevel=3)
+    return [text]
 
 
 def integrate(
@@ -312,7 +326,7 @@ def _integrate_core(
         raise TimeDomainError(
             f"t0 = {config.t0:g} is below the admissible start {family.t_min:g} of {family.name}"
         )
-    _stability_check(family, config.t0, config.step)
+    warned = _stability_check(family, config.t0, config.step)
 
     n_steps, tgrid = half_step_grid(config)
     hstep = config.step
@@ -359,9 +373,12 @@ def _integrate_core(
     modes = None if gradient_override is not None else _modal_form(h, f, x)
     if modes is None:
         path = "stepping_loop"
-        walk = _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events)
+        grad_evals = 4 * n_steps
+        kappa_g, forcing = _stage_forcing(h, grad, K_g, ema_g)
+        walk = _stepping_loop(forcing, ea_g, kappa_g, hstep, x, z, events)
     else:
         path = "composed_maps"
+        grad_evals = _HESSIAN_CHECK_POINTS
         walk = _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events)
 
     n_rec = 1 + np.count_nonzero((events % stride == 0) | (events == n_steps))
@@ -408,7 +425,10 @@ def _integrate_core(
             "step": float(hstep),
             "record_stride": int(config.record_stride),
             "path": path,
+            "steps": int(n_steps),
+            "gradient_evaluations": int(grad_evals),
         },
+        "warnings": warned,
         "x0": [float(v) for v in x0],
         "v0": [float(v) for v in v0],
         "V0": float(diag.V[0]),
@@ -461,59 +481,117 @@ def _check_block(h, t0, hstep, steps, X, Z, checked, last_valid):
     return last_valid
 
 
-def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
-    """RK4 stepping on (x, z) for any generator and gradient; yields the
-    block (steps, X, Z) of one step listed in `events` at a time, so no step
-    is taken past a state that fails its check.  `grad(x, j)` is the
-    objective's gradient at half-step grid point j.
+def _stage_forcing(h, grad, K_g, ema_g):
+    """The flow in deviation coordinates d = z - x, for any generator h.
 
-    This is the general path and the reference the composed maps are tested
-    against.
+    The flow reads xdot = e^alpha d, ddot = -(kappa + e^alpha) d + F with
+      kappa = K and F = -e^(alpha - eta) grad f(x)  when hess h = I;
+      kappa = 0 and F = hess_h(z)^-1 [-K (grad h(z) - grad h(x))
+                                      - e^(alpha - eta) grad f(x)]  otherwise,
+    where K = delta_dot + eta_dot - alpha_dot - e^alpha and z = x + d.
+    Returns kappa on the half-step grid and `forcing(j, x, d, out)`, which
+    writes F at grid point j into `out`; `grad(x, j)` is grad f there.
     """
-    identity = h.identity_hessian
-    gh = h.gradient
-    solve = h.hessian_solve
-    half = 0.5 * hstep
-    sixth = hstep / 6.0
-    done = 0
-    for b, event in enumerate(events.tolist()):
-        for k in range(done, event):
-            j = 2 * k
-            if identity:
-                d = z - x
-                kx1 = ea_g[j] * d
-                kz1 = -K_g[j] * d - ema_g[j] * grad(x, j)
-                x1 = x + half * kx1
-                z1 = z + half * kz1
-                d = z1 - x1
-                kx2 = ea_g[j + 1] * d
-                kz2 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x1, j + 1)
-                x2 = x + half * kx2
-                z2 = z + half * kz2
-                d = z2 - x2
-                kx3 = ea_g[j + 1] * d
-                kz3 = -K_g[j + 1] * d - ema_g[j + 1] * grad(x2, j + 1)
-                x3 = x + hstep * kx3
-                z3 = z + hstep * kz3
-                d = z3 - x3
-                kx4 = ea_g[j + 2] * d
-                kz4 = -K_g[j + 2] * d - ema_g[j + 2] * grad(x3, j + 2)
-            else:
-                kx1, kz1 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z)
-                x1 = x + half * kx1
-                z1 = z + half * kz1
-                kx2, kz2 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 1, x1, z1)
-                x2 = x + half * kx2
-                z2 = z + half * kz2
-                kx3, kz3 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 1, x2, z2)
-                x3 = x + hstep * kx3
-                z3 = z + hstep * kz3
-                kx4, kz4 = _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j + 2, x3, z3)
+    if h.identity_hessian:
 
-            x = x + sixth * (kx1 + 2.0 * (kx2 + kx3) + kx4)
-            z = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
-        done = event
-        yield events[b : b + 1], x[None], z[None]
+        def forcing(j, x, d, out):
+            np.multiply(grad(x, j), -ema_g[j], out=out)
+
+        return K_g, forcing
+
+    gh, solve = h.gradient, h.hessian_solve
+
+    def forcing(j, x, d, out):
+        z = x + d
+        rhs = -K_g[j] * (gh(z) - gh(x)) - ema_g[j] * grad(x, j)
+        try:
+            out[...] = solve(z, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
+
+    return np.zeros_like(K_g), forcing
+
+
+# Steps per chunk of stage coefficients: bounds their transient memory.
+_STEP_CHUNK = 256
+
+
+def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
+    """RK4 on xdot = a d, ddot = -b d + F as coefficients of steps k0..k1-1.
+
+    a = e^alpha and b = kappa + e^alpha at the loop's half-step grid points.
+    Stage s (s = 1..4) sits at (x + P[0] @ Y, P[1] @ Y) for Y = [d, F_1 ..
+    F_(s-1)] and the step maps (x, d) to (x + U[0] @ Y, U[1] @ Y) for Y =
+    [d, F_1 .. F_4], where F_s is the forcing at stage s.  Returns the stage
+    coefficients P of stages 2, 3 and 4, of shapes (m, 2, 2), (m, 2, 3) and
+    (m, 2, 4), and U, of shape (m, 2, 5), for the m = k1 - k0 steps.
+    """
+    grid = slice(2 * k0, 2 * k1 + 1)  # the chunk's half-step grid points
+    a, b = ea_g[grid], kappa_g[grid] + ea_g[grid]
+    j = 2 * np.arange(k1 - k0)
+    half = 0.5 * hstep
+    basis = np.eye(5)
+    points = (j, j + 1, j + 1, j + 2)  # each stage's grid point in the chunk
+    # d at stage 1 as a row over [d, F_1 .. F_4]; its x - x_step is 0
+    D = np.broadcast_to(basis[0], (j.size, 5))
+    stages, kx_sum, kd_sum = [], 0.0, 0.0
+    for s, (c, w) in enumerate(zip((half, half, hstep, None), (1.0, 2.0, 2.0, 1.0))):
+        kx = a[points[s], None] * D
+        kd = basis[s + 1] - b[points[s], None] * D
+        kx_sum = kx_sum + w * kx
+        kd_sum = kd_sum + w * kd
+        if c is not None:  # the next stage's point
+            X, D = c * kx, basis[0] + c * kd
+            stages.append(np.stack([X[:, : s + 2], D[:, : s + 2]], axis=1))
+    sixth = hstep / 6.0
+    U = np.stack([sixth * kx_sum, basis[0] + sixth * kd_sum], axis=1)
+    return (*stages, U)
+
+
+def _stepping_loop(forcing, ea_g, kappa_g, hstep, x, z, events):
+    """RK4 stepping for any generator and gradient, in deviation coordinates
+    (see `_stage_forcing`); yields the block (steps, X, Z) of one step listed
+    in `events` at a time, so no step is taken past a state that fails its
+    check.
+
+    Each step evaluates the forcing at its four stage points; the points and
+    the update come from `_rk4_stage_coefficients`, built per chunk of events.
+    x enters every point with coefficient 1, so a rest point (d = 0, F = 0)
+    stays exact.  This is the general path and the reference the composed
+    maps are tested against.
+    """
+    dot = np.dot  # a shorter call than @ on these tiny operands
+    Y = np.empty((5, x.size))
+    Y[0] = z - x
+    d, F1, F2, F3, F4 = Y
+    Y2, Y3, Y4 = Y[:2], Y[:3], Y[:4]
+    starts = np.concatenate(([0], events[:-1]))
+    per_chunk = max(1, _STEP_CHUNK // int(np.max(events - starts)))
+    for b0 in range(0, events.size, per_chunk):
+        ev = events[b0 : b0 + per_chunk]
+        k0 = int(starts[b0])
+        P2, P3, P4, U = _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, ev[-1])
+        done = k0
+        for event in ev.tolist():
+            for k in range(done, event):
+                i = k - k0
+                j = 2 * k
+                forcing(j, x, d, F1)
+                p = dot(P2[i], Y2)
+                forcing(j + 1, x + p[0], p[1], F2)
+                p = dot(P3[i], Y3)
+                forcing(j + 1, x + p[0], p[1], F3)
+                p = dot(P4[i], Y4)
+                forcing(j + 2, x + p[0], p[1], F4)
+                p = dot(U[i], Y)
+                x = x + p[0]
+                d[...] = p[1]
+            done = event
+            yield np.array([event]), x[None], (x + d)[None]
+
+
+# Points at which `_declared_hessian` evaluates the gradient: 0, x and x + 1.
+_HESSIAN_CHECK_POINTS = 3
 
 
 def _declared_hessian(gradient, hessian, x, label):
@@ -643,12 +721,3 @@ def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
             y = _mv(Mb[b], y) + vb[b]
             Y[b] = y
         yield ev, Y[..., 0] @ S.T, Y[..., 1] @ S.T
-
-
-def _general_stage(gh, solve, grad, ea_g, K_g, ema_g, j, x, z):
-    rhs = -K_g[j] * (gh(z) - gh(x)) - ema_g[j] * grad(x, j)
-    try:
-        zdot = solve(z, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
-    return ea_g[j] * (z - x), zdot

@@ -235,6 +235,26 @@ def test_divergence_detected():
         ag.integrate(spec.generator, spec.objective, fam, cfg, np.array([1.0]))
 
 
+def test_stiff_layer_warning_and_counts_are_kept_in_metadata():
+    spec = scalar_quadratic()
+    fam = ag.Hyperbolic(1.0)  # e^alpha(0.1) is about 20, so step 1e-2 is stiff there
+    cfg = ag.IntegratorConfig(t0=0.1, t_end=1.0, step=1e-2)
+    with pytest.warns(RuntimeWarning, match="initial layer") as caught:
+        traj = ag.integrate(spec.generator, spec.objective, fam, cfg, np.array([1.0]))
+    assert traj.metadata["warnings"] == [str(caught[0].message)]
+    counts = [traj.metadata["integrator"][k] for k in ("path", "steps", "gradient_evaluations")]
+    assert counts == ["composed_maps", 90, 3]
+
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    f = dataclasses.replace(spec.objective, hessian=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calm = ag.integrate(spec.generator, f, fam, cfg, np.array([1.0]))
+    assert calm.metadata["warnings"] == []
+    counts = [calm.metadata["integrator"][k] for k in ("path", "steps", "gradient_evaluations")]
+    assert counts == ["stepping_loop", 100, 400]
+
+
 def test_trajectory_csv_deterministic(tmp_path):
     spec = scalar_quadratic()
     fam = ag.ConstantDamping(2.0, 1.0)

@@ -26,6 +26,26 @@ def test_huber_constants():
     assert a.beta_s == 2.0
 
 
+def test_huber_gradient_matches_piecewise_form():
+    # the clipped ratio against the piecewise definition, bit for bit
+    w = np.array([1.0, 0.5, 2.0, 3.0])
+    a = ag.huber_l1(w)
+
+    def piecewise(x, mu):
+        return w * np.where(np.abs(x) <= mu, x / mu, np.sign(x))
+
+    rng = np.random.default_rng(5)
+    m = 40
+    special = np.tile([[0.0, -0.0, np.inf, -np.inf], [np.nan, 1.0, -1.0, 0.0]], (m // 2, 1))
+    with np.errstate(invalid="ignore"):
+        for mu in (0.5, rng.uniform(1e-3, 1.0, (m, 1))):
+            seam = mu * np.array([1.0, -1.0, 1.0, -1.0]) + np.zeros((m, 4))  # |x| == mu
+            for x in (rng.uniform(-2.0, 2.0, (m, 4)), seam, special):
+                assert np.array_equal(a.grad_x(x, mu), piecewise(x, mu), equal_nan=True)
+        one = special[1]  # a single point, not a row batch
+        assert np.array_equal(a.grad_x(one, 0.5), piecewise(one, 0.5), equal_nan=True)
+
+
 def test_huber_rejects_negative_weight():
     with pytest.raises(ConfigurationError):
         ag.huber_l1(np.array([1.0, -1.0]))

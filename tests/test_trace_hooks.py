@@ -5,6 +5,7 @@ it through its module fails here instead of silently breaking `--trace 1`.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,11 @@ def _simulate(tmp_path, text, name):
     return cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"])
 
 
+def _integrator_metadata(tmp_path, name):
+    summary = json.loads((tmp_path / name / "summary.json").read_text())
+    return summary["metadata"]["integrator"]
+
+
 def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
     tracer, replaced, added = installed_tracer
     # install() reads each name before it replaces it, so none is new
@@ -135,8 +141,13 @@ def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
     assert probes["lyapunov.diag"].count == 2
     # mu is evaluated once, on the integrator grid, for the flow and the diagnostics
     assert probes["smoothing.mu"].count == 1
-    assert probes["smoothing.grad_x"].count > 0
-    assert tracer.steps == 2000 + 1000
+    # the run's own counts agree with the tracer's: four gradients per RK4 step
+    # on the stepping loop, and the three Hessian-check probes on the maps
+    quad, smooth = (_integrator_metadata(tmp_path, name) for name in ("quad", "smooth"))
+    assert (quad["path"], smooth["path"]) == ("composed_maps", "stepping_loop")
+    assert probes["smoothing.grad_x"].count == 4 * 1000 == smooth["gradient_evaluations"]
+    assert probes["problems.grad"].count == quad["gradient_evaluations"]
+    assert tracer.steps == 2000 + 1000 == quad["steps"] + smooth["steps"]
 
 
 def test_tracer_is_removed_after_each_test():
