@@ -33,7 +33,13 @@ certifies the recorded states in one vectorized pass.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
+import signal
+import tempfile
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -175,22 +181,19 @@ class Trajectory:
         # non-finite values, renamed below; no key contains "nan" or "inf"
         sample = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }"
         head = json.dumps({"metadata": self.metadata}, indent=2, sort_keys=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(head[: -len("\n}")] + ',\n  "samples": [\n')
-            sep = ""
-            for rows in _row_chunks([getattr(self.records, k) for k in keys]):
-                text = sep + ",\n".join(sample % tuple(r) for r in rows)
-                fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))
-                sep = ",\n"
-            fh.write("\n  ]\n}\n")
 
+        def text(rows):
+            body = ",\n".join(sample % tuple(r) for r in rows)
+            return body.replace("nan", "NaN").replace("inf", "Infinity")
 
-def _row_chunks(columns):
-    """Rows of the table whose columns (arrays of shape (m,) or (m, k)) are
-    given, as lists of Python floats, `lyapunov.ROW_CHUNK` rows at a time."""
-    m = len(columns[0])
-    for k0 in range(0, m, lyapunov.ROW_CHUNK):
-        yield np.column_stack([c[k0 : k0 + lyapunov.ROW_CHUNK] for c in columns]).tolist()
+        _write_rows(
+            path,
+            head[: -len("\n}")] + ',\n  "samples": [\n',
+            [getattr(self.records, k) for k in keys],
+            text,
+            ",\n",
+            "\n  ]\n}\n",
+        )
 
 
 def write_table(path, names, columns) -> None:
@@ -198,10 +201,90 @@ def write_table(path, names, columns) -> None:
     (arrays of shape (m,) or (m, k)): '.' decimal, LF endings, 17
     significant digits, the format of f"{v:.17g}"."""
     row = ",".join(["%.17g"] * len(names)) + "\n"
+    text = lambda rows: "".join(row % tuple(r) for r in rows)  # noqa: E731
+    _write_rows(path, ",".join(names) + "\n", columns, text, "", "")
+
+
+def _writer_count(rows: int) -> int:
+    """Processes that format a table of `rows` rows: one per usable CPU, but
+    at most one per `lyapunov.ROW_CHUNK` rows, and one where `os.fork` is
+    missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows // lyapunov.ROW_CHUNK))
+
+
+def _write_range(fh, columns, k0, k1, text, sep) -> None:
+    """Write rows k0..k1-1 of the table `columns` (arrays of shape (m,) or
+    (m, k)) as `text(rows)` per `lyapunov.ROW_CHUNK` rows, rows given as lists
+    of Python floats; `sep` goes before every chunk but the table's first."""
+    for k in range(k0, min(k1, len(columns[0])), lyapunov.ROW_CHUNK):
+        rows = np.column_stack([c[k : k + lyapunov.ROW_CHUNK] for c in columns]).tolist()
+        fh.write((sep if k else "") + text(rows))
+
+
+def _write_rows(path, head, columns, text, sep, tail) -> None:
+    """Write `head`, the table's rows through `_write_range`, and `tail`.
+
+    The rows are cut at chunk boundaries into `_writer_count` ranges.  This
+    process writes range 0 straight into `path`; each other range is written
+    by a forked worker into a scratch file beside `path`, which is appended
+    in order.  Workers build their own rows, because rows built before the
+    fork would have their pages copied by refcount writes in both processes.
+    A worker that fails makes this raise OSError; live workers are killed
+    and reaped, and scratch files deleted, however the write ends.
+    """
+    chunks = -(-len(columns[0]) // lyapunov.ROW_CHUNK)
+    w = _writer_count(len(columns[0]))
+    cuts = [lyapunov.ROW_CHUNK * (chunks * i // w) for i in range(w + 1)]
+    workers, scratch = [], []
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for rows in _row_chunks(columns):
-            fh.write("".join(row % tuple(r) for r in rows))
+        try:
+            # fork before anything is written, so no worker holds buffered output
+            for i in range(1, w):
+                fd, name = tempfile.mkstemp(
+                    prefix=f".{os.path.basename(path)}.", suffix=".part",
+                    dir=os.path.dirname(os.path.abspath(path)),
+                )
+                scratch.append(name)
+                with open(fd, "w", newline="\n") as part:
+                    pid = os.fork()
+                    if pid == 0:  # worker: never returns into the caller
+                        code = 1
+                        try:
+                            _write_range(part, columns, cuts[i], cuts[i + 1], text, sep)
+                            part.flush()
+                            code = 0
+                        except BaseException:
+                            os.write(2, traceback.format_exc().encode())
+                        finally:
+                            os._exit(code)
+                workers.append(pid)
+            fh.write(head)
+            _write_range(fh, columns, cuts[0], cuts[1], text, sep)
+            fh.flush()
+            for i, name in enumerate(scratch, start=1):
+                _, status = os.waitpid(workers[0], 0)
+                workers.pop(0)
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    how = f"exited with status {code}" if code > 0 else f"died of signal {-code}"
+                    raise OSError(f"writer of rows {cuts[i]}.. of {path} {how}")
+                with open(name, "rb") as part:
+                    shutil.copyfileobj(part, fh.buffer)
+            fh.write(tail)
+        finally:
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            for name in scratch:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(name)
 
 
 def initial_state(x0: Vector, v0: Vector, family: ScheduleFamily, t0: float) -> FlowState:
@@ -647,41 +730,48 @@ def _mv(A, y):
     return (A @ y[..., None])[..., 0]
 
 
+def _mm(A, B):
+    """Product of 2x2 matrices held as their entries (a00, a01, a10, a11)."""
+    a00, a01, a10, a11 = A
+    b00, b01, b10, b11 = B
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
 def _rk4_step_maps(ea_g, K_g, ema_g, lam, c, hstep, k0, k1):
     """RK4 step maps y -> M y + v of steps k0..k1-1, for every mode.
 
     Mode i obeys y' = A(t) y + a(t) on y = (u_i, w_i), with
     A = [[-e^alpha, e^alpha], [K - e^(alpha - eta) lam_i, -K]] and
     a = (0, e^(alpha - eta) c_i), at the loop's half-step grid points.
+    The 2x2 arithmetic runs entrywise on (steps, n) arrays.
     Returns M of shape (steps, n, 2, 2) and v of shape (steps, n, 2).
     """
     j = 2 * np.arange(k0, k1)
 
     def field(idx):
         ea, K, ema = ea_g[idx, None], K_g[idx, None], ema_g[idx, None]
-        A = np.empty((idx.size, lam.size, 2, 2))
-        A[..., 0, 0] = -ea
-        A[..., 0, 1] = ea
-        A[..., 1, 0] = K - ema * lam
-        A[..., 1, 1] = -K
-        a = np.zeros((idx.size, lam.size, 2))
-        a[..., 1] = ema * c
-        return A, a
+        return (-ea, ea, K - ema * lam, -K), ema * c
 
-    A1, a1 = field(j)
-    A2, a2 = field(j + 1)
-    A3, a3 = field(j + 2)
+    A1, g1 = field(j)
+    A2, g2 = field(j + 1)
+    A3, g3 = field(j + 2)
     half = 0.5 * hstep
-    # stage k_i = P_i y + q_i
-    P2 = A2 + half * (A2 @ A1)
-    q2 = a2 + half * _mv(A2, a1)
-    P3 = A2 + half * (A2 @ P2)
-    q3 = a2 + half * _mv(A2, q2)
-    P4 = A3 + hstep * (A3 @ P3)
-    q4 = a3 + hstep * _mv(A3, q3)
+    # stage k_i = P_i y + q_i, with q_1 = a = (0, g)
+    P2 = tuple(a + half * b for a, b in zip(A2, _mm(A2, A1)))
+    P3 = tuple(a + half * b for a, b in zip(A2, _mm(A2, P2)))
+    P4 = tuple(a + hstep * b for a, b in zip(A3, _mm(A3, P3)))
+    q2 = (half * (A2[1] * g1), g2 + half * (A2[3] * g1))
+    q3 = (half * (A2[0] * q2[0] + A2[1] * q2[1]), g2 + half * (A2[2] * q2[0] + A2[3] * q2[1]))
+    q4 = (hstep * (A3[0] * q3[0] + A3[1] * q3[1]), g3 + hstep * (A3[2] * q3[0] + A3[3] * q3[1]))
     sixth = hstep / 6.0
-    M = np.eye(2) + sixth * (A1 + 2.0 * (P2 + P3) + P4)
-    v = sixth * (a1 + 2.0 * (q2 + q3) + q4)
+    shape = (j.size, lam.size)
+    M = np.empty(shape + (2, 2))
+    for e, (a1, p2, p3, p4) in enumerate(zip(A1, P2, P3, P4)):
+        M[..., e // 2, e % 2] = sixth * (a1 + 2.0 * (p2 + p3) + p4)
+    M += np.eye(2)
+    v = np.empty(shape + (2,))
+    v[..., 0] = sixth * (2.0 * (q2[0] + q3[0]) + q4[0])
+    v[..., 1] = sixth * (g1 + 2.0 * (q2[1] + q3[1]) + q4[1])
     return M, v
 
 

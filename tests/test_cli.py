@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import agflow.cli as cli
-from agflow import problems
+from agflow import dynamics, problems
 from agflow.config import load_config
 from agflow.errors import ConfigurationError
 
@@ -151,6 +151,22 @@ def test_check_assumptions_families(tmp_path):
     assert cli.main(["check-assumptions", "--config", path4, "--quiet"]) == 0
     rep4 = json.loads((tmp_path / "chk4" / "assumptions.json").read_text())
     assert rep4["condition"] == "general"  # exp_pi = 0 branch at C = 3
+
+
+def test_check_assumptions_slacks_csv_does_not_depend_on_writer_count(monkeypatch, tmp_path):
+    text = QUAD_CFG.format(t_end=10.0, out=tmp_path / "chk").replace(
+        "record_stride = 10", "record_stride = 10\ngrid_num = 2049"
+    )  # the second range ends in a one-row chunk, smaller than a file buffer
+    path = write_cfg(tmp_path, text)
+    slacks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(dynamics, "_writer_count", lambda rows: workers)
+        assert cli.main(["check-assumptions", "--config", path, "--quiet"]) == 0
+        slacks[workers] = (tmp_path / "chk" / "slacks.csv").read_bytes()
+    lines = slacks[1].decode().splitlines()
+    assert lines[0] == "t,slack1,slack2,slack3,slack4" and len(lines) == 2050
+    assert slacks[2] == slacks[1]
+    assert sorted(p.name for p in (tmp_path / "chk").iterdir()) == ["assumptions.json", "slacks.csv"]
 
 
 def test_reproduce_table_plumbing(monkeypatch, tmp_path):

@@ -1,10 +1,13 @@
 import dataclasses
+import os
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
 import agflow as ag
+from agflow import dynamics
 from agflow.bregman import DistanceGenerator
 from agflow.dynamics import FlowState
 from agflow.errors import (
@@ -438,7 +441,7 @@ def _old_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_writers_match_json_dumps_and_old_csv(tmp_path):
+def test_writers_match_json_dumps_and_old_csv(tmp_path, monkeypatch):
     import json
 
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.5]))
@@ -457,12 +460,58 @@ def test_writers_match_json_dumps_and_old_csv(tmp_path):
     traj = dataclasses.replace(traj, records=dataclasses.replace(d, **bad))
     traj.metadata["note"] = [np.nan, np.inf, -np.inf]
 
-    traj.write_json(tmp_path / "t.json")
     expect = json.dumps(traj.to_dict(), indent=2, sort_keys=True) + "\n"
     assert "NaN" in expect and "-Infinity" in expect
-    assert (tmp_path / "t.json").read_bytes() == expect.encode()
-    traj.write_csv(tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes() == _old_csv(traj).encode()
+    # forced worker counts, so a one-CPU machine also runs the forked writers;
+    # three workers take one row chunk each
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_writer_count", lambda rows: workers)
+        traj.write_json(tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_bytes() == expect.encode()
+        traj.write_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _old_csv(traj).encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+
+@pytest.mark.parametrize("failure", ["worker_raises", "worker_killed", "parent_interrupted"])
+def test_failed_writer_leaves_no_scratch_file_or_child(tmp_path, monkeypatch, failure):
+    monkeypatch.setattr(dynamics, "_writer_count", lambda rows: 2)
+    parent = os.getpid()
+
+    def text(rows):
+        if os.getpid() == parent:
+            if failure == "parent_interrupted":
+                raise KeyboardInterrupt
+        elif failure == "worker_raises":
+            raise RuntimeError("formatting failed")
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return "".join(f"{r[0]:.17g}\n" for r in rows)
+
+    path = tmp_path / "t.csv"
+    expected, match = (KeyboardInterrupt, None) if failure == "parent_interrupted" else (OSError, "t.csv")
+    with pytest.raises(expected, match=match):
+        dynamics._write_rows(path, "t\n", [np.arange(3000.0)], text, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_short_tables_fork_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    t = np.arange(2 * 1024 - 1.0)
+    dynamics.write_table(tmp_path / "t.csv", ["t", "s"], [t, -t])
+    expect = "t,s\n" + "".join(f"{v:.17g},{-v:.17g}\n" for v in t)
+    assert (tmp_path / "t.csv").read_text() == expect
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert dynamics._writer_count(10 * 1024) == 3
+    assert dynamics._writer_count(2 * 1024 - 1) == 1
+    monkeypatch.delattr(os, "fork")
+    assert dynamics._writer_count(10 * 1024) == 1
 
 
 @pytest.mark.parametrize("failure", ["divergence", "domain_exit", "domain_excursion"])
