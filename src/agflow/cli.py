@@ -1,8 +1,9 @@
 """Experiment runner: simulate, check-assumptions, reproduce-table, smooth-demo.
 
 Exit codes are a stable contract for CI: 0 all enabled checks pass, 1 a check
-failed (including an unusable rate fit), 2 configuration error, 3 numerical
-failure (divergence, domain exit, singular solve).
+failed (including an unusable rate fit), 2 configuration or output error
+(including an output that cannot be written), 3 numerical failure
+(divergence, domain exit, singular solve).
 """
 
 from __future__ import annotations
@@ -405,6 +406,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an unreadable config is a ConfigurationError already
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"output error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

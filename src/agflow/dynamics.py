@@ -28,12 +28,13 @@ steps and the gradient evaluations.
 
 Either path hands its states to one shared check in blocks of consecutive
 check and record points; after the walk, `lyapunov.record_diagnostics`
-certifies the recorded states in one vectorized pass.
+certifies the recorded states in vectorized passes over row chunks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import shutil
@@ -218,23 +219,32 @@ def _writer_count(rows: int) -> int:
     return max(1, min(cpus, rows // lyapunov.ROW_CHUNK))
 
 
+# Values per text chunk of a table: bounds the writers' transient memory.
+_TEXT_VALUES = 2**13
+
+
 def _write_range(fh, columns, k0, k1, text, sep) -> None:
     """Write rows k0..k1-1 of the table `columns` (arrays of shape (m,) or
-    (m, k)) as `text(rows)` per `lyapunov.ROW_CHUNK` rows, rows given as lists
-    of Python floats; `sep` goes before every chunk but the table's first."""
-    for k in range(k0, min(k1, len(columns[0])), lyapunov.ROW_CHUNK):
-        rows = np.column_stack([c[k : k + lyapunov.ROW_CHUNK] for c in columns]).tolist()
+    (m, k)) as `text(rows)` per chunk of about `_TEXT_VALUES` values, rows
+    given as lists of Python floats; `sep` goes before every chunk but the
+    table's first."""
+    k1 = min(k1, len(columns[0]))
+    width = sum(int(np.prod(np.shape(c)[1:])) for c in columns)
+    step = max(1, _TEXT_VALUES // width)
+    for k in range(k0, k1, step):
+        rows = np.column_stack([c[k : min(k + step, k1)] for c in columns]).tolist()
         fh.write((sep if k else "") + text(rows))
 
 
 def _write_rows(path, head, columns, text, sep, tail) -> None:
     """Write `head`, the table's rows through `_write_range`, and `tail`.
 
-    The rows are cut at chunk boundaries into `_writer_count` ranges.  This
-    process writes range 0 straight into `path`; each other range is written
-    by a forked worker into a scratch file beside `path`, which is appended
-    in order.  Workers build their own rows, because rows built before the
-    fork would have their pages copied by refcount writes in both processes.
+    The rows are cut at `lyapunov.ROW_CHUNK` boundaries into `_writer_count`
+    ranges.  This process writes range 0 straight into `path`; each other
+    range is written by a forked worker into a scratch file beside `path`,
+    which is appended in order.  Workers build their own rows, because rows
+    built before the fork would have their pages copied by refcount writes in
+    both processes.
     A worker that fails makes this raise OSError; live workers are killed
     and reaped, and scratch files deleted, however the write ends.
     """
@@ -273,7 +283,7 @@ def _write_rows(path, head, columns, text, sep, tail) -> None:
                 code = os.waitstatus_to_exitcode(status)
                 if code:
                     how = f"exited with status {code}" if code > 0 else f"died of signal {-code}"
-                    raise OSError(f"writer of rows {cuts[i]}.. of {path} {how}")
+                    raise OSError(errno.EIO, f"writer of rows {cuts[i]}.. {how}", str(path))
                 with open(name, "rb") as part:
                     shutil.copyfileobj(part, fh.buffer)
             fh.write(tail)
@@ -457,8 +467,7 @@ def _integrate_core(
     if modes is None:
         path = "stepping_loop"
         grad_evals = 4 * n_steps
-        kappa_g, forcing = _stage_forcing(h, grad, K_g, ema_g)
-        walk = _stepping_loop(forcing, ea_g, kappa_g, hstep, x, z, events)
+        walk = _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events)
     else:
         path = "composed_maps"
         grad_evals = _HESSIAN_CHECK_POINTS
@@ -482,11 +491,19 @@ def _integrate_core(
             r = k
 
     grid_idx = 2 * rec_steps
+    s_rec = ScheduleSample(**{name: v[grid_idx] for name, v in vars(sg).items()})
+    standard_form = bool(
+        h.identity_hessian
+        and np.max(np.abs(sg.eta - 2.0 * sg.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(sg.eta)))
+    )
+    # free the half-step grid before the diagnostics pass (the finished walk
+    # holds none of it)
+    del tgrid, sg, ea_g, K_g, ema_g
     diag = lyapunov.record_diagnostics(
         variant,
         h,
         f,
-        ScheduleSample(**{name: v[grid_idx] for name, v in vars(sg).items()}),
+        s_rec,
         xs,
         zs,
         xstar,
@@ -515,10 +532,7 @@ def _integrate_core(
         "x0": [float(v) for v in x0],
         "v0": [float(v) for v in v0],
         "V0": float(diag.V[0]),
-        "standard_form": bool(
-            h.identity_hessian
-            and np.max(np.abs(sg.eta - 2.0 * sg.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(sg.eta)))
-        ),
+        "standard_form": standard_form,
     }
     if extra_metadata:
         metadata.update(extra_metadata)
@@ -631,7 +645,7 @@ def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
     return (*stages, U)
 
 
-def _stepping_loop(forcing, ea_g, kappa_g, hstep, x, z, events):
+def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     """RK4 stepping for any generator and gradient, in deviation coordinates
     (see `_stage_forcing`); yields the block (steps, X, Z) of one step listed
     in `events` at a time, so no step is taken past a state that fails its
@@ -643,6 +657,7 @@ def _stepping_loop(forcing, ea_g, kappa_g, hstep, x, z, events):
     stays exact.  This is the general path and the reference the composed
     maps are tested against.
     """
+    kappa_g, forcing = _stage_forcing(h, grad, K_g, ema_g)
     dot = np.dot  # a shorter call than @ on these tiny operands
     Y = np.empty((5, x.size))
     Y[0] = z - x

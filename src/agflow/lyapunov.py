@@ -93,7 +93,8 @@ class Diagnostics:
 
 DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(Diagnostics))
 
-# Rows per chunk when diagnostics or states are turned into Python objects.
+# Rows per chunk of the diagnostics pass, of the table writers' worker ranges,
+# and of the row view's conversion to Python floats.
 ROW_CHUNK = 1024
 
 
@@ -165,27 +166,39 @@ def record_diagnostics(
     sigma: float,
     mu: Optional[np.ndarray] = None,
 ) -> Diagnostics:
-    """Diagnostics of a whole trajectory in one vectorized pass.
+    """Diagnostics of a whole trajectory in vectorized passes.
 
     `s` is the schedule sampled at the m recorded times (array fields), `x`
     and `z` the recorded states, shape (m, n).  For the Smoothed variant `mu`
     holds mu at the recorded times; when it is None the schedule's `mu` is
     evaluated there once.
-    """
-    d_xstar_z = bregman_div(h, xstar, z)
-    d_xstar_x = bregman_div(h, xstar, x)
-    d_z_x = bregman_div(h, z, x)
-    f_gap = row_values(f"{f.name}.value", f.value(x), x.shape[:-1]) - fstar
-    slack1, slack2, slack3, slack4 = condition_slacks(s, sigma)
 
+    The terms computed from the states run over `ROW_CHUNK` rows at a time,
+    so their (rows, n) temporaries stay O(ROW_CHUNK * n); the slacks, the
+    budget and the integrals run on the whole columns.
+    """
+    m = s.t.size
+    slack1, slack2, slack3, slack4 = condition_slacks(s, sigma)
     budget = np.zeros_like(s.t)
     if isinstance(variant, Smoothed):
         sched = variant.mu_schedule
         if mu is None:
             mu = row_values("mu", sched.mu(s.t), s.t.shape)
-        growth = row_values("budget", sched.budget(s.t[:-1], s.t[1:]), (s.t.size - 1,))
+        growth = row_values("budget", sched.budget(s.t[:-1], s.t[1:]), (m - 1,))
         budget = np.concatenate(([0.0], np.cumsum(variant.beta_s * growth)))
-    V = _energy(variant, h, s, x, xstar, d_xstar_z, f_gap, mu)
+
+    V, f_gap, d_xstar_z, d_xstar_x, d_z_x = (np.empty(m) for _ in range(5))
+    for k in range(0, m, ROW_CHUNK):
+        rows = slice(k, k + ROW_CHUNK)
+        xk, zk = x[rows], z[rows]
+        d_xstar_z[rows] = bregman_div(h, xstar, zk)
+        d_xstar_x[rows] = bregman_div(h, xstar, xk)
+        d_z_x[rows] = bregman_div(h, zk, xk)
+        f_gap[rows] = row_values(f"{f.name}.value", f.value(xk), xk.shape[:-1]) - fstar
+        sk = ScheduleSample(**{name: v[rows] for name, v in vars(s).items()})
+        V[rows] = _energy(
+            variant, h, sk, xk, xstar, d_xstar_z[rows], f_gap[rows], None if mu is None else mu[rows]
+        )
 
     ene = np.exp(s.nu + s.eta)
     return Diagnostics(

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,22 @@ def test_smooth_demo(tmp_path):
     assert summary["pass"] is True
     assert summary["certification"]["passed"] is True
     assert summary["metadata"]["integrator"]["path"] == "stepping_loop"
+
+
+@pytest.mark.parametrize("command", ["simulate", "smooth-demo"])
+def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
+    blocker = tmp_path / "FILE"
+    blocker.write_text("a regular file, so no directory can be made under it\n")
+    out = blocker / "x"
+    argv = [sys.executable, "-m", "agflow.cli", command, "--out", str(out), "--quiet"]
+    if command == "simulate":
+        argv += ["--config", write_cfg(tmp_path, QUAD_CFG.format(t_end=1.0, out=out))]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == cli.EXIT_CONFIG_ERROR
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"output error: {out}: ")
 
 
 def test_canonical_grid_shape():

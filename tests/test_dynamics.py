@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import signal
 import warnings
@@ -463,9 +464,11 @@ def test_writers_match_json_dumps_and_old_csv(tmp_path, monkeypatch):
     expect = json.dumps(traj.to_dict(), indent=2, sort_keys=True) + "\n"
     assert "NaN" in expect and "-Infinity" in expect
     # forced worker counts, so a one-CPU machine also runs the forked writers;
-    # three workers take one row chunk each
-    for workers in (1, 2, 3):
+    # three workers take one row chunk each.  100 values per text chunk make
+    # 7-row (CSV) and 6-row (JSON) chunks, which end inside a worker's range
+    for workers, values in itertools.product((1, 2, 3), (dynamics._TEXT_VALUES, 100)):
         monkeypatch.setattr(dynamics, "_writer_count", lambda rows: workers)
+        monkeypatch.setattr(dynamics, "_TEXT_VALUES", values)
         traj.write_json(tmp_path / "t.json")
         assert (tmp_path / "t.json").read_bytes() == expect.encode()
         traj.write_csv(tmp_path / "t.csv")

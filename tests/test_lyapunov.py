@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
+from agflow import lyapunov
 from agflow.dynamics import FlowState
 from agflow.errors import ConfigurationError, FitError, PreconditionError
 
@@ -420,3 +421,66 @@ def test_diagnostics_reject_objective_without_row_batches():
     cfg = ag.IntegratorConfig(t0=0.0, t_end=1.0, step=1e-2)
     with pytest.raises(ConfigurationError, match="row batches"):
         ag.integrate(spec.generator, f, ag.ConstantDamping(2.0, 1.0), cfg, np.ones(1))
+
+
+def _chunked_runs():
+    """Flows of 3 * ROW_CHUNK + 5 records, so the last row chunk is short:
+    Standard on a quadratic, Symmetric, Smoothed, and a non-Euclidean
+    generator.  The objectives' own row values must not depend on how many
+    rows are batched together, or no chunking could match a one-chunk pass."""
+    steps = 3 * lyapunov.ROW_CHUNK + 4
+
+    def cfg(t0, step):
+        return ag.IntegratorConfig(t0=t0, t_end=t0 + steps * step, step=step, record_stride=1)
+
+    quad = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.5]))
+    yield "standard", ag.integrate(
+        quad.generator, quad.objective, ag.ConstantDamping(2.0, 1.0), cfg(0.0, 1e-3), np.array([1.0, -1.0])
+    )
+    flat = ag.flat_quadratic(np.array([[1.0, 2.0]]), np.array([1.0]))
+    h = ag.from_quadratic_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    yield "symmetric", ag.integrate(
+        h, flat.objective, ag.PolynomialDamping(1.5), cfg(1.0, 1e-2), np.array([2.0, 1.0]),
+        variant=ag.Symmetric(),
+    )
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    fam = ag.Hyperbolic(0.0)
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    yield "smoothed", ag.smoothed_flow(spec.generator, approx, fam, mu, cfg(1.0, 1e-3), np.zeros(2))
+    quad = ag.quadratic(np.diag([1.0, 2.0]), np.array([0.6, 0.8]))
+    yield "negative entropy", ag.integrate(
+        ag.negative_entropy(2), quad.objective, ag.PolynomialDamping(3.0), cfg(1.0, 1e-3),
+        np.array([0.3, 0.4]),
+    )
+
+
+def test_chunked_diagnostics_match_one_chunk_pass(monkeypatch):
+    record = lyapunov.record_diagnostics
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "record_diagnostics", capture)
+    seen = set()
+    for label, traj in _chunked_runs():
+        seen.add((traj.variant.name, traj.h.name))
+        [(args, kwargs)] = calls
+        calls.clear()
+        m = len(traj)
+        assert m == 3 * lyapunov.ROW_CHUNK + 5, label
+        with monkeypatch.context() as one_chunk:
+            one_chunk.setattr(lyapunov, "ROW_CHUNK", m + 1)
+            whole = record(*args, **kwargs)
+        for name in lyapunov.DIAGNOSTIC_FIELDS:
+            assert np.array_equal(getattr(traj.records, name), getattr(whole, name)), (label, name)
+        if label == "smoothed":
+            # mu comes sliced from the integrator's grid, and the budget grows
+            assert kwargs["mu"].shape == (m,) and traj.records.budget[-1] > 0.0
+    assert seen == {
+        ("standard", "squared_euclidean"),
+        ("symmetric", "quadratic_matrix"),
+        ("smoothed", "squared_euclidean"),
+        ("standard", "negative_entropy"),
+    }

@@ -1,0 +1,81 @@
+"""The transient memory of the diagnostics pass and of the table writers is
+set by their chunk sizes, not by the number of recorded samples.
+
+"Transient" is what a call allocates at its peak beyond what it leaves held
+(its result), as `tracemalloc` sees it; numpy registers its buffers there.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import agflow as ag
+from agflow import dynamics, lyapunov
+
+M = 8 * lyapunov.ROW_CHUNK
+N = 64
+
+# Bytes: two (ROW_CHUNK, N) float64 temporaries at once.
+DIAGNOSTICS_BOUND = 2 * lyapunov.ROW_CHUNK * N * 8
+# Bytes: a text chunk of about 2**13 values at 128 bytes each (the float
+# object, its list slot, and its share of the row string and of the chunk).
+WRITER_BOUND = 128 * 2**13
+
+
+def _transient(fn, *args):
+    """`fn(*args)` and the bytes it allocated at its peak beyond those it
+    leaves held."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - held
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """M synthetic recorded samples of an N-dim quadratic under
+    `constant D=2 sigma=1`, decaying towards its minimizer."""
+    rng = np.random.default_rng(8)
+    lam = np.exp(rng.uniform(0.0, np.log(100.0), N))
+    xstar = rng.uniform(-1.0, 1.0, N)
+    spec = ag.quadratic(np.diag(lam), lam * xstar)
+    family = ag.ConstantDamping(2.0, 1.0)
+    t = np.linspace(0.0, 8.0, M)
+    decay = np.exp(-t)[:, None]
+    x = xstar + decay * rng.normal(size=(M, N))
+    z = xstar + decay * rng.normal(size=(M, N))
+    return spec, family, t, x, z, xstar
+
+
+def _diagnostics(recorded):
+    spec, family, t, x, z, xstar = recorded
+    f = spec.objective
+    return _transient(
+        lyapunov.record_diagnostics,
+        ag.Standard(), spec.generator, f, family.sample(t), x, z, xstar, f.optimal_value, 1.0,
+    )
+
+
+def test_diagnostics_pass_transient_is_one_row_chunk(recorded):
+    diag, transient = _diagnostics(recorded)
+    assert len(diag) == M
+    assert transient <= DIAGNOSTICS_BOUND, transient
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_json"])
+def test_writer_transient_is_one_text_chunk(recorded, tmp_path, monkeypatch, writer):
+    spec, family, t, x, z, _ = recorded
+    diag, _ = _diagnostics(recorded)
+    traj = dynamics.Trajectory(
+        t, x, z, diag, {"problem": spec.objective.name}, spec.generator, spec.objective,
+        family, ag.Standard(),
+    )
+    # two writers, as on a 2-CPU machine: this process formats rows 0..M/2-1,
+    # where tracemalloc sees them, while a forked worker formats the rest
+    monkeypatch.setattr(dynamics, "_writer_count", lambda rows: 2)
+    _, transient = _transient(getattr(traj, writer), tmp_path / "table")
+    assert transient <= WRITER_BOUND, transient

@@ -6,6 +6,7 @@ it through its module fails here instead of silently breaking `--trace 1`.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -105,9 +106,12 @@ def _simulate(tmp_path, text, name):
     return cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"])
 
 
+def _summary(tmp_path, name):
+    return json.loads((tmp_path / name / "summary.json").read_text())
+
+
 def _integrator_metadata(tmp_path, name):
-    summary = json.loads((tmp_path / name / "summary.json").read_text())
-    return summary["metadata"]["integrator"]
+    return _summary(tmp_path, name)["metadata"]["integrator"]
 
 
 def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
@@ -121,9 +125,12 @@ def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
     assert _simulate(tmp_path, QUAD_CFG, "quad") == cli.EXIT_PASS
     probes = tracer.probes
     assert probes["dynamics.integrate"].count == 1
-    # one diagnostics pass per trajectory, with one call per Bregman term
+    # one diagnostics pass per trajectory, with one call per Bregman term in
+    # each row chunk of its records
     assert probes["lyapunov.diag"].count == 1
-    assert probes["bregman.div"].count == 3
+    records = _summary(tmp_path, "quad")["monotonicity"]["num_samples"]
+    assert records == 2001
+    assert probes["bregman.div"].count == 3 * math.ceil(records / lyapunov.ROW_CHUNK)
     for key in (
         "schedules.sample",
         "schedules.conditions",
@@ -136,9 +143,12 @@ def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
     ):
         assert probes[key].count > 0, key
 
+    div_calls = probes["bregman.div"].count
     _simulate(tmp_path, SMOOTH_CFG, "smooth")
     assert probes["dynamics.integrate"].count == 2
     assert probes["lyapunov.diag"].count == 2
+    # 101 records are one row chunk
+    assert probes["bregman.div"].count - div_calls == 3
     # mu is evaluated once, on the integrator grid, for the flow and the diagnostics
     assert probes["smoothing.mu"].count == 1
     # the run's own counts agree with the tracer's: four gradients per RK4 step
