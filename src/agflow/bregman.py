@@ -5,9 +5,9 @@ A distance generator is a strongly convex function h whose induced divergence
     D_h(y, x) = h(y) - h(x) - grad h(x)^T (y - x) >= 0
 
 is the metric-like quantity everything downstream (flows, Lyapunov values,
-condition checks) is phrased in.  Generators expose Hessian access as
-solve/apply pairs because the flow only ever needs the inverse Hessian
-applied to a vector, never the matrix itself.
+condition checks) is phrased in.  Generators expose Hessian access as a
+solve, because the stepping loop only ever needs the inverse Hessian applied
+to a vector; quadratic generators also declare their constant Hessian.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class DistanceGenerator:
     """A convex function h with gradient and Hessian access.
 
     ``hessian_solve(point, rhs)`` returns w with hess_h(point) @ w = rhs;
-    ``hessian_apply(point, dir)`` returns hess_h(point) @ dir.
     ``strong_convexity`` is a modulus c > 0 with hess_h >= c * I on the
     working domain, and ``symmetric`` records whether D_h(x,y) = D_h(y,x)
     for all pairs.  ``sample_point`` draws in-domain points for the sampled
@@ -40,7 +39,6 @@ class DistanceGenerator:
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     hessian_solve: Callable[[Vector, Vector], Vector]
-    hessian_apply: Callable[[Vector, Vector], Vector]
     strong_convexity: float
     symmetric: bool
     domain_guard: Callable[[Vector], bool]
@@ -269,7 +267,6 @@ def squared_euclidean(dim: int) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         hessian_solve=lambda point, rhs: np.asarray(rhs, dtype=float),
-        hessian_apply=lambda point, d: np.asarray(d, dtype=float),
         strong_convexity=1.0,
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
@@ -288,7 +285,6 @@ def diagonal_quadratic(weights) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, w * x),
         gradient=lambda x: w * x,
         hessian_solve=lambda point, rhs: rhs / w,
-        hessian_apply=lambda point, d: w * d,
         strong_convexity=float(np.min(w)),
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
@@ -319,7 +315,6 @@ def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
         value=lambda x: np.sum(x * np.log(x), axis=-1),
         gradient=lambda x: 1.0 + np.log(x),
         hessian_solve=lambda point, rhs: rhs * point,
-        hessian_apply=lambda point, d: d / point,
         strong_convexity=1.0,
         symmetric=False,
         domain_guard=lambda x: bool(np.all(x > 0) and np.all(np.isfinite(x))),
@@ -344,7 +339,6 @@ def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, x @ Q.T),
         gradient=lambda x: x @ Q.T,
         hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
-        hessian_apply=lambda point, d: Q @ d,
         strong_convexity=float(eigs[0]),
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),

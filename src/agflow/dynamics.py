@@ -9,22 +9,21 @@ The second-order flow is integrated as the first-order pair (x, z) with
 using classical fixed-step 4th-order Runge-Kutta.  Schedule coefficients are
 precomputed on the half-step grid in one vectorized pass.
 
-When f and h both declare constant Hessians (and no gradient override is
-given) the flow is linear in (x, z), and each RK4 step is an exact affine map.
-The integrator then splits the flow into decoupled 2x2 modes, builds and
-composes the step maps in vectorized passes, and walks only the composed
-maps (the "composed_maps" path).  Every other flow runs the stepping loop
-(the "stepping_loop" path).  It carries the deviation d = z - x, in which
-the flow reads
+Every flow is stepped in the deviation d = z - x, in which it reads
 
     xdot = e^alpha d,   ddot = -(kappa + e^alpha) d + F(x, d)
 
 with one forcing F for every generator (`_stage_forcing`).  Each RK4 stage
 point and the step update are then linear in d and the stages' forcings, with
-coefficients that depend only on the half-step grid; they are built ahead,
-vectorized over chunks of steps, so a step costs four forcings and four tiny
-products.  `metadata["integrator"]` names the path taken and counts the
-steps and the gradient evaluations.
+coefficients that depend only on the half-step grid, built ahead per chunk of
+steps (`_rk4_stage_coefficients`).  The stepping loop (the "stepping_loop"
+path) evaluates four forcings per step and applies them.  When f and h both
+declare constant Hessians (and no gradient override is given), the flow
+measured from its rest point splits into 2x2 modes with F = -e^(alpha - eta)
+lam u, so each step is a linear map per mode: two basis states pushed through
+the same coefficients.  The maps are composed in vectorized passes and only
+the composed maps are walked (the "composed_maps" path).
+`metadata["integrator"]` names the path and counts steps and gradient calls.
 
 Either path hands its states to one shared check in blocks of consecutive
 check and record points; after the walk, `lyapunov.record_diagnostics`
@@ -717,10 +716,14 @@ def _modal_form(h: DistanceGenerator, f: Objective, x: Vector):
     """Split a flow whose f and h declare constant Hessians into 2x2 modes.
 
     With grad f(x) = G x - r and hess h = H, S solves S^T H S = I and
-    S^T G S = diag(lam).  In u = S^-1 x, w = S^-1 z each mode obeys
-        u' = e^alpha (w - u),  w' = -K (w - u) - e^(alpha - eta) (lam u - c)
-    with c = S^T r.  Returns (S, lam, c, S^-1), or None when either Hessian
-    is undeclared.
+    S^T G S = diag(lam).  The rest point is x_r = S u_r with lam u_r = S^T r.
+    In the deviation coordinates u = S^-1 (x - x_r), d = S^-1 (z - x) each
+    mode is the stepping loop's identity-generator flow
+        u' = e^alpha d,  d' = -(K + e^alpha) d - e^(alpha - eta) lam u.
+    A flat mode (lam = 0) takes u_r = 0; its (S^T r)_i must vanish to
+    round-off, else f has no stationary point and this raises
+    ConfigurationError.  Returns (S, lam, x_r, S^-1), or None when either
+    Hessian is undeclared.
     """
     if f.hessian is None or h.hessian is None:
         return None
@@ -733,7 +736,15 @@ def _modal_form(h: DistanceGenerator, f: Objective, x: Vector):
     L_inv = np.linalg.inv(L)
     lam, U = np.linalg.eigh(L_inv @ G @ L_inv.T)
     S = L_inv.T @ U
-    return S, lam, -(S.T @ grad0), S.T @ H
+    c = -(S.T @ grad0)
+    flat = np.abs(lam) <= 1e-12 * np.max(np.abs(lam))
+    if np.any(np.abs(c[flat]) > 1e-10 * (np.abs(S.T) @ np.abs(grad0))[flat]):
+        raise ConfigurationError(
+            f"objective {f.name} has no stationary point: its gradient does not vanish "
+            "along a flat direction of its declared Hessian"
+        )
+    u_r = np.divide(c, lam, out=np.zeros_like(c), where=~flat)
+    return S, lam, S @ u_r, S.T @ H
 
 
 # Step-modes per chunk of step maps: bounds the maps' transient memory.
@@ -745,84 +756,66 @@ def _mv(A, y):
     return (A @ y[..., None])[..., 0]
 
 
-def _mm(A, B):
-    """Product of 2x2 matrices held as their entries (a00, a01, a10, a11)."""
-    a00, a01, a10, a11 = A
-    b00, b01, b10, b11 = B
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+def _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, k0, k1):
+    """RK4 step maps y -> M y of steps k0..k1-1, for every mode.
 
-
-def _rk4_step_maps(ea_g, K_g, ema_g, lam, c, hstep, k0, k1):
-    """RK4 step maps y -> M y + v of steps k0..k1-1, for every mode.
-
-    Mode i obeys y' = A(t) y + a(t) on y = (u_i, w_i), with
-    A = [[-e^alpha, e^alpha], [K - e^(alpha - eta) lam_i, -K]] and
-    a = (0, e^(alpha - eta) c_i), at the loop's half-step grid points.
-    The 2x2 arithmetic runs entrywise on (steps, n) arrays.
-    Returns M of shape (steps, n, 2, 2) and v of shape (steps, n, 2).
+    Mode i is the stepping loop's flow on y = (u_i, d_i) with the forcing
+    F = g u, g = -e^(alpha - eta) lam_i (see `_modal_form`).  The basis
+    states (1, 0) and (0, 1) are pushed through the loop's own stage
+    coefficients (`_rk4_stage_coefficients`): stage s sits at
+    u_s = u + sum_k P[0, k] Y_k with Y = [d, F_1 .. F_(s-1)] and F_s = g_s u_s,
+    and the states the step reaches are M's columns.  The arithmetic runs
+    entrywise on (steps, n) arrays.  Returns M of shape (steps, n, 2, 2).
     """
+    *P, U = _rk4_stage_coefficients(ea_g, K_g, hstep, k0, k1)
     j = 2 * np.arange(k0, k1)
+    g = [-ema_g[p, None] * lam for p in (j, j + 1, j + 1, j + 2)]
 
-    def field(idx):
-        ea, K, ema = ea_g[idx, None], K_g[idx, None], ema_g[idx, None]
-        return (-ea, ea, K - ema * lam, -K), ema * c
+    def row(C, Y):  # sum_k C[:, k] Y_k
+        return sum(C[:, k, None] * y for k, y in enumerate(Y))
 
-    A1, g1 = field(j)
-    A2, g2 = field(j + 1)
-    A3, g3 = field(j + 2)
-    half = 0.5 * hstep
-    # stage k_i = P_i y + q_i, with q_1 = a = (0, g)
-    P2 = tuple(a + half * b for a, b in zip(A2, _mm(A2, A1)))
-    P3 = tuple(a + half * b for a, b in zip(A2, _mm(A2, P2)))
-    P4 = tuple(a + hstep * b for a, b in zip(A3, _mm(A3, P3)))
-    q2 = (half * (A2[1] * g1), g2 + half * (A2[3] * g1))
-    q3 = (half * (A2[0] * q2[0] + A2[1] * q2[1]), g2 + half * (A2[2] * q2[0] + A2[3] * q2[1]))
-    q4 = (hstep * (A3[0] * q3[0] + A3[1] * q3[1]), g3 + hstep * (A3[2] * q3[0] + A3[3] * q3[1]))
-    sixth = hstep / 6.0
-    shape = (j.size, lam.size)
-    M = np.empty(shape + (2, 2))
-    for e, (a1, p2, p3, p4) in enumerate(zip(A1, P2, P3, P4)):
-        M[..., e // 2, e % 2] = sixth * (a1 + 2.0 * (p2 + p3) + p4)
-    M += np.eye(2)
-    v = np.empty(shape + (2,))
-    v[..., 0] = sixth * (2.0 * (q2[0] + q3[0]) + q4[0])
-    v[..., 1] = sixth * (g1 + 2.0 * (q2[1] + q3[1]) + q4[1])
-    return M, v
+    M = np.empty((j.size, lam.size, 2, 2))
+    for col, (u, d) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        Y = [d, g[0] * u]
+        for gs, Ps in zip(g[1:], P):
+            Y.append(gs * (u + row(Ps[:, 0], Y)))
+        M[..., 0, col] = u + row(U[:, 0], Y)
+        M[..., 1, col] = row(U[:, 1], Y)
+    return M
 
 
-def _compose_blocks(M, v, starts, lengths):
+def _compose_blocks(M, starts, lengths):
     """Compose the step maps of each block [start, start + length) into one map."""
     Mb = M[starts]
-    vb = v[starts]
     for j in range(1, int(lengths.max())):
         live = np.flatnonzero(lengths > j)
-        idx = starts[live] + j
-        vb[live] = _mv(M[idx], vb[live]) + v[idx]
-        Mb[live] = M[idx] @ Mb[live]
-    return Mb, vb
+        Mb[live] = M[starts[live] + j] @ Mb[live]
+    return Mb
 
 
 def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
-    """RK4 on a linear flow as composed per-mode affine maps; yields the
-    states after the steps listed in `events` as one block (steps, X, Z) per
-    chunk.
+    """RK4 on a linear flow as composed per-mode linear maps in deviation
+    coordinates; yields the states after the steps listed in `events` as one
+    block (steps, X, Z) per chunk.
 
     Each block of steps ends at an event.  A chunk of blocks has its step maps
     built in one vectorized pass and composed per block; the blocks are then
     walked in order.  RK4 commutes with the linear change of variables, so
-    this is the stepping loop's method and differs from it by round-off only.
+    this is the stepping loop's method and differs from it by round-off only;
+    a start at the rest point stays there exactly.
     """
-    S, lam, c, to_modes = modes
-    y = np.stack([to_modes @ x, to_modes @ z], axis=-1)
+    S, lam, x_r, to_modes = modes
+    y = np.stack([to_modes @ (x - x_r), to_modes @ (z - x)], axis=-1)
     starts = np.concatenate(([0], events[:-1]))
     per_chunk = max(1, _MAP_CHUNK // (lam.size * int(np.max(events - starts))))
     for b0 in range(0, events.size, per_chunk):
         ev = events[b0 : b0 + per_chunk]
         st = starts[b0 : b0 + per_chunk]
-        M, v = _rk4_step_maps(ea_g, K_g, ema_g, lam, c, hstep, st[0], ev[-1])
-        Mb, vb = _compose_blocks(M, v, st - st[0], ev - st)
+        M = _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, st[0], ev[-1])
+        Mb = _compose_blocks(M, st - st[0], ev - st)
         Y = np.empty((ev.size,) + y.shape)
         for b in range(ev.size):
-            y = _mv(Mb[b], y) + vb[b]
+            y = _mv(Mb[b], y)
             Y[b] = y
-        yield ev, Y[..., 0] @ S.T, Y[..., 1] @ S.T
+        X = x_r + Y[..., 0] @ S.T
+        yield ev, X, X + Y[..., 1] @ S.T

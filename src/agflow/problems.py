@@ -39,7 +39,7 @@ def quadratic(Q, b) -> ProblemSpec:
     fstar = 0.5 * float(xstar @ (Q @ xstar)) - float(b @ xstar)
     obj = Objective(
         dim=Q.shape[0],
-        value=lambda x: 0.5 * np.einsum("...i,...i->...", x, x @ Q.T) - x @ b,
+        value=lambda x: 0.5 * np.einsum("...i,...i->...", x, x @ Q.T) - np.einsum("...i,i->...", x, b),
         gradient=lambda x: x @ Q.T - b,
         sigma=float(eigs[0]),
         minimizer=xstar,

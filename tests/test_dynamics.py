@@ -186,6 +186,39 @@ def test_stationary_start_stays_at_optimum():
     assert drift <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "family", [ag.Hyperbolic(1.0), ag.PolynomialDamping(3.0)], ids=["hyperbolic", "polynomial"]
+)
+def test_composed_maps_keep_a_start_at_the_minimizer(family):
+    # the maps act on the deviation from the rest point, which is then zero
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=6.0, step=1e-2, record_stride=1)
+    for Q, exact in ((np.diag([1.0, 4.0]), True), (np.array([[2.0, 0.5], [0.5, 1.0]]), False)):
+        spec = ag.quadratic(Q, np.array([1.0, 4.0]))
+        xstar = spec.objective.minimizer
+        traj = ag.integrate(spec.generator, spec.objective, family, cfg, xstar.copy(), np.zeros(2))
+        assert traj.metadata["integrator"]["path"] == "composed_maps"
+        if exact:
+            assert np.array_equal(traj.states_x, np.broadcast_to(xstar, traj.states_x.shape))
+        else:
+            assert np.max(np.abs(traj.states_x - xstar)) <= 1e-15
+
+
+def test_objective_without_stationary_point_is_configuration_error():
+    # hessian diag(1, 0) but a linear term along the flat direction x1
+    f = ag.Objective(
+        dim=2,
+        value=lambda x: 0.5 * x[..., 0] ** 2 - x[..., 0] - x[..., 1],
+        gradient=lambda x: np.stack([x[..., 0] - 1.0, -np.ones_like(x[..., 1])], axis=-1),
+        sigma=0.0,
+        minimizer=np.array([1.0, 0.0]),
+        optimal_value=-0.5,
+        hessian=np.diag([1.0, 0.0]),
+    )
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    with pytest.raises(ConfigurationError, match="no stationary point"):
+        ag.integrate(ag.squared_euclidean(2), f, ag.Hyperbolic(1.0), cfg, np.zeros(2))
+
+
 def test_kinetic_identity_for_euclidean_generator():
     # e^(2 alpha) D_h(x + e^-alpha v, x) equals ||v||^2 / 2 exactly
     rng = np.random.default_rng(9)
@@ -206,7 +239,6 @@ def test_domain_exit_reports_last_valid_state(hessian):
         value=base.value,
         gradient=base.gradient,
         hessian_solve=base.hessian_solve,
-        hessian_apply=base.hessian_apply,
         strong_convexity=1.0,
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.abs(x) < 1.0)),
@@ -295,7 +327,6 @@ def test_hessian_solve_failure_is_numerical_error():
         hessian_solve=lambda point, rhs: (_ for _ in ()).throw(
             np.linalg.LinAlgError("singular")
         ),
-        hessian_apply=base.hessian_apply,
         strong_convexity=1.0,
         symmetric=True,
         domain_guard=base.domain_guard,

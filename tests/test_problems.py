@@ -109,3 +109,14 @@ def test_objective_gradients_match_finite_differences():
                 e[i] = step
                 fd = (obj.value(x + e) - obj.value(x - e)) / (2 * step)
                 assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-8), spec.identifier
+
+
+def test_quadratic_row_values_do_not_depend_on_the_batch():
+    # a BLAS product x @ b would give some rows other last bits in a batch
+    rng = np.random.default_rng(4)
+    n = 64
+    lam = np.exp(rng.uniform(0.0, np.log(100.0), n))
+    spec = ag.quadratic(np.diag(lam), lam * rng.uniform(-1.0, 1.0, n))
+    X = rng.uniform(-2.0, 2.0, (1024, n))
+    rows = np.array([spec.objective.value(x) for x in X])
+    assert np.array_equal(spec.objective.value(X), rows)

@@ -1,10 +1,12 @@
-"""The stepping loop against a textbook RK4.
+"""Both integration paths against a textbook RK4.
 
 The oracle steps (x, z) with the classical four-stage formula, and each
 case writes out the flow's right-hand side here, from the schedule's sampled
 coefficients and closed-form gradients and Hessian solves; nothing of the
-integrator's own stage arithmetic is reused.  The loop computes the same RK4
-steps from precomputed stage coefficients, so the two agree to round-off.
+integrator's own stage arithmetic is reused.  The stepping loop computes the
+same RK4 steps from precomputed stage coefficients, and the composed maps
+push basis states through those coefficients mode by mode, so each agrees
+with the oracle to round-off.
 """
 
 import dataclasses
@@ -126,21 +128,51 @@ def positive_pi_case():
     )
 
 
+def dense_generator_case():
+    H = np.array([[1.5, 0.2], [0.2, 0.8]])
+    Q, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
+    return integrate_case(
+        ag.from_quadratic_matrix(H), ag.quadratic(Q, b).objective, ag.Hyperbolic(1.0),
+        (0.5, 2.5), np.array([1.0, -1.0]), np.array([-0.5, 0.25]),
+        grad_h=lambda p: H @ p, hessian_solve=lambda z, g: np.linalg.solve(H, g),
+        grad_f=lambda t, x: Q @ x - b,
+    )
+
+
+def flat_quadratic_case():
+    a = np.array([[1.0, 1.0]])
+    spec = ag.flat_quadratic(a, np.array([2.0]))
+    assert spec.objective.hessian is not None
+    return integrate_case(
+        spec.generator, spec.objective, ag.PolynomialDamping(1.5), (1.0, 3.0),
+        np.array([2.0, 1.0]), np.array([0.5, 0.0]),
+        grad_h=lambda p: p, hessian_solve=euclidean, grad_f=lambda t, x: a.T @ (a @ x - 2.0),
+    )
+
+
+# case -> (the integration path it must take, its builder)
 CASES = {
-    "smoothed_l1": smoothed_l1_case,
-    "identity_quadratic": identity_quadratic_case,
-    "diagonal_generator": diagonal_generator_case,
-    "entropy_generator": entropy_generator_case,
-    "positive_pi": positive_pi_case,
+    "smoothed_l1": ("stepping_loop", smoothed_l1_case),
+    "identity_quadratic": ("stepping_loop", identity_quadratic_case),
+    "diagonal_generator": ("stepping_loop", diagonal_generator_case),
+    "entropy_generator": ("stepping_loop", entropy_generator_case),
+    "positive_pi": ("stepping_loop", positive_pi_case),
+    "dense_generator": ("composed_maps", dense_generator_case),
+    "flat_quadratic": ("composed_maps", flat_quadratic_case),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_stepping_loop_matches_textbook_rk4(case):
-    traj, rhs, x0, v0 = CASES[case]()
+def on_path(path):
+    return sorted(name for name, (p, _) in CASES.items() if p == path)
+
+
+def check_against_textbook_rk4(case):
+    path, build = CASES[case]
+    traj, rhs, x0, v0 = build()
     meta = traj.metadata["integrator"]
-    assert meta["path"] == "stepping_loop"
-    assert meta["gradient_evaluations"] == 4 * meta["steps"]
+    assert meta["path"] == path
+    evals = 4 * meta["steps"] if path == "stepping_loop" else 3  # the maps' Hessian check
+    assert meta["gradient_evaluations"] == evals
     z0 = x0 + np.exp(-traj.family.sample(meta["t0"]).alpha) * v0
     xs, zs = textbook_rk4(rhs, meta["t0"], meta["steps"], meta["record_stride"], x0, z0)
     assert xs.shape == traj.states_x.shape
@@ -149,3 +181,13 @@ def test_stepping_loop_matches_textbook_rk4(case):
     assert np.max(np.abs(traj.states_z - zs)) <= 1e-12 * scale
     # the flow moved: the comparison is not one of two resting states
     assert np.max(np.abs(xs[-1] - xs[0])) > 1e-3 * scale
+
+
+@pytest.mark.parametrize("case", on_path("stepping_loop"))
+def test_stepping_loop_matches_textbook_rk4(case):
+    check_against_textbook_rk4(case)
+
+
+@pytest.mark.parametrize("case", on_path("composed_maps"))
+def test_composed_maps_match_textbook_rk4(case):
+    check_against_textbook_rk4(case)
