@@ -12,7 +12,7 @@ to a vector; quadratic generators also declare their constant Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,16 +92,7 @@ class ConvexityReport:
     region: str
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "min_slack": float(self.min_slack),
-            "sigma": float(self.sigma),
-            "num_samples": int(self.num_samples),
-            "seed": int(self.seed),
-            "region": self.region,
-            "tolerance": float(self.tolerance),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -113,15 +104,7 @@ class SymmetryReport:
     seed: int
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "max_asymmetry": float(self.max_asymmetry),
-            "max_scaled_asymmetry": float(self.max_scaled_asymmetry),
-            "num_samples": int(self.num_samples),
-            "seed": int(self.seed),
-            "tolerance": float(self.tolerance),
-        }
+    to_dict = asdict
 
 
 def _require_in_domain(h: DistanceGenerator, point: Vector, label: str) -> None:
@@ -213,11 +196,11 @@ def check_uniform_convexity(
     return ConvexityReport(
         passed=bool(min_slack >= -tolerance),
         min_slack=float(min_slack),
-        sigma=f.sigma,
-        num_samples=num_samples,
-        seed=seed,
+        sigma=float(f.sigma),
+        num_samples=int(num_samples),
+        seed=int(seed),
         region=h.sample_region,
-        tolerance=tolerance,
+        tolerance=float(tolerance),
     )
 
 
@@ -245,9 +228,9 @@ def check_symmetry(
         passed=bool(worst_scaled <= tolerance),
         max_asymmetry=float(worst),
         max_scaled_asymmetry=float(worst_scaled),
-        num_samples=num_samples,
-        seed=seed,
-        tolerance=tolerance,
+        num_samples=int(num_samples),
+        seed=int(seed),
+        tolerance=float(tolerance),
     )
 
 
@@ -336,8 +319,8 @@ def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
         raise ConfigurationError(f"Q must be positive definite (min eigenvalue {eigs[0]:g})")
     return DistanceGenerator(
         dim=Q.shape[0],
-        value=lambda x: 0.5 * _dot(x, x @ Q.T),
-        gradient=lambda x: x @ Q.T,
+        value=lambda x: 0.5 * _dot(x, np.einsum("...j,ij->...i", x, Q)),
+        gradient=lambda x: np.einsum("...j,ij->...i", x, Q),
         hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
         strong_convexity=float(eigs[0]),
         symmetric=True,

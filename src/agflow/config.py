@@ -9,7 +9,7 @@ and defaults.  Experiments are plain files so runs are diffable artifacts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,6 @@ class ExperimentConfig:
     formats: tuple
     seed: int
     grid_num: int = 1001
-    raw: dict = field(default_factory=dict)
 
     def build_problem(self) -> problems.ProblemSpec:
         p = self.problem_params
@@ -298,5 +297,4 @@ def load_config(path: str) -> ExperimentConfig:
         formats=formats,
         seed=seed,
         grid_num=grid_num,
-        raw={s: dict(parser[s]) for s in parser.sections()},
     )

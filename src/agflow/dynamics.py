@@ -76,7 +76,6 @@ class IntegratorConfig:
     t_end: float
     step: float = 1e-3
     record_stride: int = 10
-    method: str = "rk4"
 
     def __post_init__(self):
         if not self.t0 < self.t_end:
@@ -85,8 +84,6 @@ class IntegratorConfig:
             raise ConfigurationError("need 0 < step <= t_end - t0")
         if self.record_stride < 1:
             raise ConfigurationError("record_stride must be >= 1")
-        if self.method != "rk4":
-            raise ConfigurationError(f"unsupported method {self.method!r}")
 
 
 @dataclass
@@ -113,14 +110,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def state(self, k: int) -> FlowState:
-        return FlowState(float(self.times[k]), self.states_x[k], self.states_z[k])
-
-    def xdot(self) -> np.ndarray:
-        """Velocity at the recorded samples, e^alpha (z - x)."""
-        s = self.family.sample(self.times)
-        return np.exp(s.alpha)[:, None] * (self.states_z - self.states_x)
 
     def second_order_residual(self) -> float:
         """Max norm of the reconstructed second-order equation defect.
@@ -170,7 +159,7 @@ class Trajectory:
     def to_dict(self) -> dict:
         return {
             "metadata": self.metadata,
-            "samples": [r.to_dict() for r in self.records],
+            "samples": [r._asdict() for r in self.records],
         }
 
     def write_json(self, path) -> None:
@@ -376,10 +365,6 @@ def integrate(
     h is symmetric), the standard one otherwise.  `sigma` defaults to the
     family's uniform-convexity constant, falling back to the objective's.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
-    if x0.shape != (h.dim,) or v0.shape != (h.dim,):
-        raise ConfigurationError(f"x0 and v0 must have shape ({h.dim},)")
     return _integrate_core(h, f, family, config, x0, v0, variant=variant, sigma=sigma)
 
 
@@ -399,7 +384,7 @@ def _integrate_core(
     family: ScheduleFamily,
     config: IntegratorConfig,
     x0: Vector,
-    v0: Vector,
+    v0: Optional[Vector],
     variant=None,
     sigma: Optional[float] = None,
     gradient_override: Optional[Callable[[Vector, int], Vector]] = None,
@@ -413,7 +398,12 @@ def _integrate_core(
     trajectory's `gradient_of(x, t)` is grad f; a caller that overrides the
     gradient attaches its own time form.  `mu_grid`, the smoothing parameter
     on the half-step grid, gives the Smoothed variant's diagnostics their mu.
+    `v0` defaults to zero; `x0` and `v0` must have shape (h.dim,).
     """
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
+    if x0.shape != (h.dim,) or v0.shape != (h.dim,):
+        raise ConfigurationError(f"x0 and v0 must have shape ({h.dim},)")
     if config.t0 < family.t_min:
         raise TimeDomainError(
             f"t0 = {config.t0:g} is below the admissible start {family.t_min:g} of {family.name}"
@@ -482,8 +472,7 @@ def _integrate_core(
 
     with np.errstate(all="ignore"):
         for steps, X, Z in walk:
-            checked = (steps % check_every == 0) | (steps == n_steps)
-            last_valid = _check_block(h, config.t0, hstep, steps, X, Z, checked, last_valid)
+            last_valid = _check_block(h, config.t0, hstep, steps, X, Z, last_valid)
             rec = (steps % stride == 0) | (steps == n_steps)
             k = r + np.count_nonzero(rec)
             rec_steps[r:k], xs[r:k], zs[r:k] = steps[rec], X[rec], Z[rec]
@@ -518,7 +507,7 @@ def _integrate_core(
         "variant": variant.name,
         "sigma": float(sigma),
         "integrator": {
-            "method": config.method,
+            "method": "rk4",
             "t0": float(config.t0),
             "t_end": float(t_end),
             "step": float(hstep),
@@ -550,19 +539,17 @@ def _integrate_core(
     )
 
 
-def _check_block(h, t0, hstep, steps, X, Z, checked, last_valid):
+def _check_block(h, t0, hstep, steps, X, Z, last_valid):
     """Finite and domain checks of a block of consecutive states X[i], Z[i]
-    after step steps[i]; only the rows flagged `checked` count.
+    after step steps[i].
 
-    One vectorized check covers the block.  Only when it fails are the
-    checked rows tried one by one, so the first bad one raises
-    `DivergenceError` (non-finite) or `IntegrationError` (out of domain, with
-    the last valid state).  Returns the last checked state of the block, or
-    `last_valid` when the block has none.
+    One vectorized check covers the block.  Only when it fails are the rows
+    tried one by one, so the first bad one raises `DivergenceError`
+    (non-finite) or `IntegrationError` (out of domain, with the last valid
+    state).  Returns the block's last state.
     """
-    rows = np.flatnonzero(checked)
     if not (np.isfinite(X).all() and np.isfinite(Z).all() and h.domain_guard(X) and h.domain_guard(Z)):
-        for i in rows:
+        for i in range(steps.size):
             t = float(t0 + steps[i] * hstep)
             if not (np.isfinite(X[i]).all() and np.isfinite(Z[i]).all()):
                 raise DivergenceError(f"non-finite state at t = {t:g} (last valid t = {last_valid.t:g})")
@@ -571,10 +558,7 @@ def _check_block(h, t0, hstep, steps, X, Z, checked, last_valid):
                     f"state left the domain of {h.name} at t = {t:g}", last_state=last_valid
                 )
             last_valid = FlowState(t, X[i], Z[i])
-    if rows.size:
-        i = rows[-1]
-        last_valid = FlowState(float(t0 + steps[i] * hstep), X[i], Z[i])
-    return last_valid
+    return FlowState(float(t0 + steps[-1] * hstep), X[-1], Z[-1])
 
 
 def _stage_forcing(h, grad, K_g, ema_g):

@@ -13,7 +13,7 @@ accumulated integral estimates stay below V(t0).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -98,13 +98,8 @@ DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(Diagnostics))
 ROW_CHUNK = 1024
 
 
-class DiagnosticsRecord(namedtuple("DiagnosticsRecord", DIAGNOSTIC_FIELDS)):
-    """One recorded sample of `Diagnostics`, as Python floats."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
+# One recorded sample of `Diagnostics`, as Python floats.
+DiagnosticsRecord = namedtuple("DiagnosticsRecord", DIAGNOSTIC_FIELDS)
 
 
 def _energy(variant, h: DistanceGenerator, s: ScheduleSample, x, xstar, d_xstar_z, f_gap, mu):
@@ -222,7 +217,8 @@ def record_diagnostics(
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports: every field holds a Python value, cast where the report is built,
+# so `to_dict` is `asdict` and its result goes straight to `json.dumps`
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,7 @@ class MonotonicityReport:
     num_samples: int
     smoothed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "max_increment": float(self.max_increment),
-            "tolerance": float(self.tolerance),
-            "argmax_time": float(self.argmax_time),
-            "num_samples": int(self.num_samples),
-            "smoothed": bool(self.smoothed),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -253,14 +241,7 @@ class BoundReport:
     rel_tolerance: float
     derived_extension: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "worst_gap_margin": float(self.worst_gap_margin),
-            "worst_div_margin": float(self.worst_div_margin),
-            "rel_tolerance": float(self.rel_tolerance),
-            "derived_extension": bool(self.derived_extension),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -273,16 +254,7 @@ class IntegralReport:
     coefficient_violation: Optional[str]
     kinetic_applies: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "values": {k: float(v) for k, v in self.values.items()},
-            "bound": float(self.bound),
-            "rel_tolerance": float(self.rel_tolerance),
-            "degenerate": {k: bool(v) for k, v in self.degenerate.items()},
-            "coefficient_violation": self.coefficient_violation,
-            "kinetic_applies": bool(self.kinetic_applies),
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -299,14 +271,7 @@ class FittedRate:
         return -self.slope
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "window": [float(self.window[0]), float(self.window[1])],
-            "slope": float(self.slope),
-            "rate": float(self.rate),
-            "residual": float(self.residual),
-            "num_used": int(self.num_used),
-        }
+        return {**asdict(self), "rate": self.rate}
 
 
 def _clamp_dust(value: float) -> float:
@@ -353,7 +318,7 @@ def bound_check(traj, rel_tolerance: float = 1e-6) -> BoundReport:
         passed=bool(max(m1, m2) <= rel_tolerance),
         worst_gap_margin=m1,
         worst_div_margin=m2,
-        rel_tolerance=rel_tolerance,
+        rel_tolerance=float(rel_tolerance),
         # bound shapes for the symmetric variant follow by the same integration
         # argument as the standard ones; mark them as derived extensions
         derived_extension=isinstance(traj.variant, Symmetric),
@@ -398,7 +363,7 @@ def integral_estimates(traj, rel_tolerance: float = 1e-3) -> IntegralReport:
         passed=bool(passed),
         values=finals,
         bound=float(bound),
-        rel_tolerance=rel_tolerance,
+        rel_tolerance=float(rel_tolerance),
         degenerate=degenerate,
         coefficient_violation=violation,
         kinetic_applies=bool(traj.metadata.get("standard_form", False)),

@@ -21,7 +21,6 @@ class ProblemSpec:
     objective: Objective
     generator: DistanceGenerator
     sigma: float
-    notes: str
 
 
 def quadratic(Q, b) -> ProblemSpec:
@@ -39,7 +38,11 @@ def quadratic(Q, b) -> ProblemSpec:
     fstar = 0.5 * float(xstar @ (Q @ xstar)) - float(b @ xstar)
     obj = Objective(
         dim=Q.shape[0],
-        value=lambda x: 0.5 * np.einsum("...i,...i->...", x, x @ Q.T) - np.einsum("...i,i->...", x, b),
+        # einsum, not x @ Q.T: in a BLAS product a row's last bits depend on its batch
+        value=lambda x: (
+            0.5 * np.einsum("...i,...i->...", x, np.einsum("...j,ij->...i", x, Q))
+            - np.einsum("...i,i->...", x, b)
+        ),
         gradient=lambda x: x @ Q.T - b,
         sigma=float(eigs[0]),
         minimizer=xstar,
@@ -52,7 +55,6 @@ def quadratic(Q, b) -> ProblemSpec:
         objective=obj,
         generator=squared_euclidean(Q.shape[0]),
         sigma=float(eigs[0]),
-        notes="x* = Q^-1 b by direct solve",
     )
 
 
@@ -84,7 +86,6 @@ def flat_quadratic(A, b) -> ProblemSpec:
         objective=obj,
         generator=squared_euclidean(A.shape[1]),
         sigma=0.0,
-        notes="x* = minimum-norm solution via least squares",
     )
 
 
@@ -120,7 +121,6 @@ def l1_denoise(y, w: float) -> ProblemSpec:
         objective=obj,
         generator=squared_euclidean(y.size),
         sigma=1.0,
-        notes="x* = soft_threshold(y, w); certificate: 0 in subdifferential",
     )
 
 

@@ -74,15 +74,7 @@ class CertReport:
     num_samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "max_sandwich_violation": float(self.max_sandwich_violation),
-            "max_band_violation": float(self.max_band_violation),
-            "max_smoothness_ratio": float(self.max_smoothness_ratio),
-            "num_samples": int(self.num_samples),
-            "seed": int(self.seed),
-        }
+    to_dict = dataclasses.asdict
 
 
 def _huber_value(x: Vector, w: Vector, mu: float) -> float:
@@ -262,8 +254,8 @@ def certify_smooth_approx(
         max_sandwich_violation=float(worst_sandwich),
         max_band_violation=float(worst_band),
         max_smoothness_ratio=float(worst_ratio),
-        num_samples=num_samples,
-        seed=seed,
+        num_samples=int(num_samples),
+        seed=int(seed),
     )
 
 
@@ -342,8 +334,6 @@ def smoothed_flow(
     nonincreasing at every grid point, and the stepping loop and the
     diagnostics read it there by grid index.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.zeros_like(x0) if v0 is None else np.asarray(v0, dtype=float)
     mu_g = np.asarray(mu_sched.mu(half_step_grid(config)[1]), dtype=float)
     if np.any(mu_g <= 0) or not np.all(np.isfinite(mu_g)):
         raise ScheduleError("mu(t) must be positive and finite on the horizon")

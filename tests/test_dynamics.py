@@ -263,6 +263,44 @@ def test_domain_exit_reports_last_valid_state(hessian):
     assert abs(err.value.last_state.x[0]) < 1.0
 
 
+@pytest.mark.parametrize("hessian", [np.eye(1), None], ids=["composed_maps", "stepping_loop"])
+def test_every_recorded_state_is_checked(hessian):
+    # with record_stride 162 > 25, step 162 is recorded between the check
+    # points 150 and 175; only there does z = -2.3235 leave |z| < 2.32
+    spec = scalar_quadratic()
+    boxed = dataclasses.replace(spec.generator, domain_guard=lambda x: bool(np.all(np.abs(x) < 2.32)))
+    f = dataclasses.replace(spec.objective, hessian=hessian)
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=2.0, step=1e-2, record_stride=162)
+    with pytest.raises(IntegrationError) as err:
+        ag.integrate(boxed, f, ag.ConstantDamping(0.5, 1.0), cfg, np.array([0.9]))
+    assert err.value.last_state.t < 1.62
+
+
+def _start_problem(entry):
+    """A 2-dimensional run through `integrate` or `smoothed_flow`."""
+    family = ag.Hyperbolic(0.0)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    if entry == "integrate":
+        spec = ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
+        return lambda x0, v0: ag.integrate(spec.generator, spec.objective, family, cfg, x0, v0)
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    mu = ag.rate_preserving_mu(family, 0.5, "exponential")
+    return lambda x0, v0: ag.smoothed_flow(spec.generator, approx, family, mu, cfg, x0, v0)
+
+
+@pytest.mark.parametrize("entry", ["integrate", "smoothed_flow"])
+@pytest.mark.parametrize(
+    "x0, v0",
+    [(np.ones(3), None), (np.ones((2, 1)), None), (np.ones(1), None), (np.ones(2), np.ones(3))],
+    ids=["x0_3", "x0_2x1", "x0_1", "v0_3"],
+)
+def test_start_of_wrong_shape_is_configuration_error(entry, x0, v0):
+    run = _start_problem(entry)
+    run(np.ones(2), None)
+    with pytest.raises(ConfigurationError, match="shape"):
+        run(x0, v0)
+
+
 def test_divergence_detected():
     spec = ag.quadratic(np.array([[400.0]]), np.zeros(1))
     fam = ag.ConstantDamping(2.0, 20.0)
@@ -353,8 +391,6 @@ def test_integrator_config_validation():
         ag.IntegratorConfig(t0=0.0, t_end=1.0, step=2.0)
     with pytest.raises(ConfigurationError):
         ag.IntegratorConfig(t0=0.0, t_end=1.0, record_stride=0)
-    with pytest.raises(ConfigurationError):
-        ag.IntegratorConfig(t0=0.0, t_end=1.0, method="euler")
 
 
 def test_integrate_rejects_inadmissible_t0():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -303,12 +304,40 @@ def test_render_rate_table_alignment():
     assert "pass" in lines[2]
 
 
+def _has_numpy_scalar(value) -> bool:
+    if isinstance(value, dict):
+        return any(_has_numpy_scalar(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_has_numpy_scalar(v) for v in value)
+    return isinstance(value, np.generic)
+
+
 def test_reports_serialize():
+    # each dict holds its report's fields as Python values, also when the
+    # caller passes numpy scalars
+    f64, i64 = np.float64, np.int64
     traj = run_constant(t_end=5.0)
-    assert ag.monotonicity_report(traj).to_dict()["passed"] is True
-    assert ag.bound_check(traj).to_dict()["passed"] is True
-    assert ag.integral_estimates(traj).to_dict()["passed"] is True
-    fitted = ag.fit_rate(traj, "exponential", (2.5, 5.0))
+    h = ag.squared_euclidean(2)
+    f = dataclasses.replace(ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2)).objective, sigma=f64(1.0))
+    fitted = ag.fit_rate(traj, "exponential", (f64(2.5), f64(5.0)))
+    reports = [
+        ag.monotonicity_report(traj, tolerance=f64(1e-6)),
+        ag.bound_check(traj, rel_tolerance=f64(1e-6)),
+        ag.integral_estimates(traj, rel_tolerance=f64(1e-3)),
+        fitted,
+        ag.certify_smooth_approx(
+            ag.huber_l1([1.0, 2.0]), num_samples=i64(50), seed=i64(1), tolerance=f64(1e-9)
+        ),
+        ag.check_uniform_convexity(f, h, num_samples=i64(50), seed=i64(0), tolerance=f64(1e-10)),
+        ag.check_symmetry(h, i64(50), seed=i64(0), tolerance=f64(1e-10)),
+    ]
+    for rep in reports:
+        d = rep.to_dict()
+        extra = {"rate"} if rep is fitted else set()
+        assert set(d) == {fd.name for fd in dataclasses.fields(rep)} | extra, type(rep).__name__
+        assert not _has_numpy_scalar(d), type(rep).__name__
+        json.dumps(d, sort_keys=True)
+    assert all(rep.to_dict()["passed"] is True for rep in reports[:3])
     assert fitted.to_dict()["rate"] == pytest.approx(fitted.rate)
 
 

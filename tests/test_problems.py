@@ -112,11 +112,15 @@ def test_objective_gradients_match_finite_differences():
 
 
 def test_quadratic_row_values_do_not_depend_on_the_batch():
-    # a BLAS product x @ b would give some rows other last bits in a batch
+    # a BLAS product x @ Q.T would give some rows other last bits in a batch
     rng = np.random.default_rng(4)
     n = 64
     lam = np.exp(rng.uniform(0.0, np.log(100.0), n))
-    spec = ag.quadratic(np.diag(lam), lam * rng.uniform(-1.0, 1.0, n))
+    A = rng.standard_normal((n, n))
     X = rng.uniform(-2.0, 2.0, (1024, n))
-    rows = np.array([spec.objective.value(x) for x in X])
-    assert np.array_equal(spec.objective.value(X), rows)
+    for Q in (np.diag(lam), A @ A.T + n * np.eye(n)):
+        spec = ag.quadratic(Q, Q @ rng.uniform(-1.0, 1.0, n))
+        h = ag.from_quadratic_matrix(Q)
+        for fn in (spec.objective.value, h.value, h.gradient):
+            rows = np.array([fn(x) for x in X])
+            assert np.array_equal(fn(X), rows)
