@@ -9,6 +9,7 @@ and defaults.  Experiments are plain files so runs are diffable artifacts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,8 @@ def _parse_vector(raw: str, where: str) -> np.ndarray:
         raise ConfigurationError(f"{where}: expected whitespace-separated floats, got {raw!r}") from exc
     if vec.size == 0:
         raise ConfigurationError(f"{where}: empty vector")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigurationError(f"{where}: values must be finite, got {raw!r}")
     return vec
 
 
@@ -124,9 +127,13 @@ def load_config(path: str) -> ExperimentConfig:
     def get_float(section, key, default=None, required=False):
         if parser.has_option(section, key):
             try:
-                return parser.getfloat(section, key)
+                value = parser.getfloat(section, key)
             except ValueError as exc:
                 raise ConfigurationError(f"[{section}].{key}: not a number") from exc
+            # NaN would pass every range check below, and inf makes checks vacuous
+            if not math.isfinite(value):
+                raise ConfigurationError(f"[{section}].{key} must be finite, got {value}")
+            return value
         if required:
             raise ConfigurationError(f"[{section}].{key} is required")
         return default

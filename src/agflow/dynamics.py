@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import lyapunov
+from . import g17, lyapunov
 from .bregman import DistanceGenerator, Objective
 from .errors import (
     ConfigurationError,
@@ -171,8 +171,8 @@ class Trajectory:
         sample = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) + "\n    }"
         head = json.dumps({"metadata": self.metadata}, indent=2, sort_keys=True)
 
-        def text(rows):
-            body = ",\n".join(sample % tuple(r) for r in rows)
+        def text(block):
+            body = ",\n".join(sample % tuple(r) for r in block.tolist())
             return body.replace("nan", "NaN").replace("inf", "Infinity")
 
         _write_rows(
@@ -188,10 +188,8 @@ class Trajectory:
 def write_table(path, names, columns) -> None:
     """CSV with a header row of `names` and one row per sample of `columns`
     (arrays of shape (m,) or (m, k)): '.' decimal, LF endings, 17
-    significant digits, the format of f"{v:.17g}"."""
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    text = lambda rows: "".join(row % tuple(r) for r in rows)  # noqa: E731
-    _write_rows(path, ",".join(names) + "\n", columns, text, "", "")
+    significant digits, the bytes of f"{v:.17g}" (`g17.csv_text`)."""
+    _write_rows(path, ",".join(names) + "\n", columns, g17.csv_text, "", "")
 
 
 def _writer_count(rows: int) -> int:
@@ -208,20 +206,20 @@ def _writer_count(rows: int) -> int:
 
 
 # Values per text chunk of a table: bounds the writers' transient memory.
-_TEXT_VALUES = 2**13
+_TEXT_VALUES = 2**11
 
 
 def _write_range(fh, columns, k0, k1, text, sep) -> None:
     """Write rows k0..k1-1 of the table `columns` (arrays of shape (m,) or
-    (m, k)) as `text(rows)` per chunk of about `_TEXT_VALUES` values, rows
-    given as lists of Python floats; `sep` goes before every chunk but the
-    table's first."""
+    (m, k)) as `text(block)` per chunk of about `_TEXT_VALUES` values, the
+    block a float64 array of shape (rows, values per row); `sep` goes before
+    every chunk but the table's first."""
     k1 = min(k1, len(columns[0]))
     width = sum(int(np.prod(np.shape(c)[1:])) for c in columns)
     step = max(1, _TEXT_VALUES // width)
     for k in range(k0, k1, step):
-        rows = np.column_stack([c[k : min(k + step, k1)] for c in columns]).tolist()
-        fh.write((sep if k else "") + text(rows))
+        block = np.column_stack([c[k : min(k + step, k1)] for c in columns])
+        fh.write((sep if k else "") + text(block))
 
 
 def _write_rows(path, head, columns, text, sep, tail) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,36 @@ def test_simulate_unknown_problem_exits_two(tmp_path, capsys):
     path = write_cfg(tmp_path, text)
     assert cli.main(["simulate", "--config", path, "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("simulate", "integrator", "step", "nan"),
+        ("simulate", "integrator", "t_end", "inf"),
+        ("check-assumptions", "integrator", "t_end", "inf"),
+        ("simulate", "initial", "x0", "1 nan"),
+        ("simulate", "problem", "q_diag", "1 -inf"),
+        ("simulate", "lyapunov", "tol_mono_scale", "nan"),
+        ("simulate", "lyapunov", "bound_rel_tol", "nan"),
+        ("simulate", "lyapunov", "bound_rel_tol", "inf"),
+        ("simulate", "lyapunov", "integral_rel_tol", "nan"),
+        ("simulate", "fit", "required", "nan"),
+    ],
+)
+def test_non_finite_config_value_exits_two(tmp_path, capsys, command, section, key, value):
+    text = QUAD_CFG.format(t_end=1.0, out=tmp_path / "o")
+    if f"[{section}]" in text:
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
+    else:
+        model = "model = exponential\n" if section == "fit" else ""
+        text += f"\n[{section}]\n{model}{key} = {value}\n"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}].{key}") and "must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_mismatched_hessian_exits_two(tmp_path, monkeypatch, capsys):

@@ -18,8 +18,9 @@ N = 64
 
 # Bytes: two (ROW_CHUNK, N) float64 temporaries at once.
 DIAGNOSTICS_BOUND = 2 * lyapunov.ROW_CHUNK * N * 8
-# Bytes: a text chunk of about 2**13 values at 128 bytes each (the float
-# object, its list slot, and its share of the row string and of the chunk).
+# Bytes: 1 MiB, 512 bytes for each of the about 2**11 values of a text chunk
+# (CSV: the formatter's arrays, about 160 bytes a value, and the chunk's text;
+# JSON: the float object, its list slot, and its share of the row strings).
 WRITER_BOUND = 128 * 2**13
 
 
