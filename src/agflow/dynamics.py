@@ -78,12 +78,14 @@ class IntegratorConfig:
     record_stride: int = 10
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.t0, self.t_end, self.step))):
+            raise ConfigurationError("t0, t_end and step must be finite")
         if not self.t0 < self.t_end:
             raise ConfigurationError("need t0 < t_end")
         if self.step <= 0 or self.step > self.t_end - self.t0:
             raise ConfigurationError("need 0 < step <= t_end - t0")
-        if self.record_stride < 1:
-            raise ConfigurationError("record_stride must be >= 1")
+        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
+            raise ConfigurationError("record_stride must be an integer >= 1")
 
 
 @dataclass
@@ -91,8 +93,8 @@ class Trajectory:
     """Recorded flow samples with their diagnostics.
 
     `times`, `states_x`, `states_z` are the recorded grid; `records` holds the
-    diagnostics as one array per field (`lyapunov.Diagnostics`), which also
-    reads as a sequence of per-sample rows.  The generator, objective,
+    diagnostics as one array per field (`lyapunov.Diagnostics`); only
+    `to_dict` reads them as per-sample rows.  The generator, objective,
     family, and Lyapunov variant handles are kept for downstream checks;
     `metadata` is the JSON-serializable description of the run.
     """

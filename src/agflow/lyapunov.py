@@ -55,8 +55,9 @@ class Diagnostics:
     slack1..slack4 are the condition left-hand sides at the sample (all must
     be <= 0 for an admissible schedule); integral_* are the running trapezoid
     accumulations of the three bounded integrands; budget is B(t) for smoothed
-    runs (0 otherwise).  `len`, indexing, slicing and iteration treat it as a
-    sequence of `DiagnosticsRecord` rows.
+    runs (0 otherwise).  `len` counts the samples, and iteration yields them
+    as `DiagnosticsRecord` rows (`Trajectory.to_dict` reads them so); every
+    other reader takes the arrays.
     """
 
     t: np.ndarray
@@ -79,12 +80,6 @@ class Diagnostics:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def __getitem__(self, k):
-        cols = (getattr(self, name) for name in DIAGNOSTIC_FIELDS)
-        if isinstance(k, slice):
-            return Diagnostics(*(c[k] for c in cols))
-        return DiagnosticsRecord(*(float(c[k]) for c in cols))
-
     def __iter__(self):
         for k0 in range(0, len(self), ROW_CHUNK):
             cols = [getattr(self, name)[k0 : k0 + ROW_CHUNK].tolist() for name in DIAGNOSTIC_FIELDS]
@@ -94,7 +89,7 @@ class Diagnostics:
 DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(Diagnostics))
 
 # Rows per chunk of the diagnostics pass, of the table writers' worker ranges,
-# and of the row view's conversion to Python floats.
+# and of the row iteration's conversion to Python floats.
 ROW_CHUNK = 1024
 
 

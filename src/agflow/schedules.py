@@ -73,11 +73,17 @@ def time_grid(t0: float, t_end: float, num: int) -> np.ndarray:
 
 
 class ScheduleFamily:
-    """Base class; concrete families fill in `_evaluate` on an array of times."""
+    """Base class; concrete families fill in `_evaluate` on an array of times.
+
+    `certified_rate` is the decay of the objective gap that the family's nu
+    certifies: ("exponential", r) for e^(-r t), ("polynomial", r) for t^-r,
+    or None where the family states none.
+    """
 
     name = "base"
     t_min: float = -math.inf
     default_t0: float = 0.0
+    certified_rate: Optional[tuple] = None
 
     def _evaluate(self, t: np.ndarray) -> dict:
         raise NotImplementedError
@@ -124,6 +130,7 @@ class ConstantDamping(ScheduleFamily):
             self.exp_alpha = D / 2.0
         else:
             self.exp_alpha = (D - math.sqrt(D * D - 4.0 * sigma)) / 2.0
+        self.certified_rate = ("exponential", self.exp_alpha)
 
     def _evaluate(self, t: np.ndarray) -> dict:
         alpha = math.log(self.exp_alpha)
@@ -165,6 +172,10 @@ class Hyperbolic(ScheduleFamily):
         self.sigma = float(sigma)
         self.t_min = float(t_min)
         self.default_t0 = max(self.t_min, 1e-3)
+        if self.sigma > 0.0:
+            self.certified_rate = ("exponential", math.sqrt(self.sigma))
+        else:
+            self.certified_rate = ("polynomial", 2.0)
 
     def _evaluate(self, t: np.ndarray) -> dict:
         if self.sigma == 0.0:
@@ -219,6 +230,7 @@ class PolynomialDamping(ScheduleFamily):
             raise ConfigurationError("t_min must be positive")
         self.C = float(C)
         self.t_min = float(t_min)
+        self.certified_rate = ("polynomial", min(2.0 * self.C / 3.0, 2.0))
         if C < 3.0:
             self.exp_pi_value = (3.0 - C) / (2.0 * C)
         elif C == 3.0:
@@ -228,7 +240,7 @@ class PolynomialDamping(ScheduleFamily):
 
     def _evaluate(self, t: np.ndarray) -> dict:
         C = self.C
-        nu_rate = min(2.0 * C / 3.0, 2.0)
+        nu_rate = self.certified_rate[1]
         return {
             "alpha": np.log(2.0 * C / (3.0 * t)),
             "alpha_dot": -1.0 / t,

@@ -36,7 +36,7 @@ def test_ac01_lyapunov_monotonicity_and_runtime(canonical_runs):
     slowest = 0.0
     for run in canonical_runs:
         traj = run["traj"]
-        V0 = traj.records[0].V
+        V0 = traj.records.V[0]
         tol = 1e-8 * max(1.0, V0)
         rep = ag.monotonicity_report(traj, tolerance=tol)
         worst_ratio = max(worst_ratio, rep.max_increment / tol)
@@ -82,7 +82,7 @@ def test_ac04_kinetic_integral_estimates(canonical_runs):
         label = run["entry"]["label"]
         rep = ag.integral_estimates(traj, rel_tolerance=1e-3)
         assert rep.passed, label
-        V0 = traj.records[0].V
+        V0 = traj.records.V[0]
         if rep.degenerate["z_x"]:
             assert rep.values["z_x"] <= 1e-10
             details.append(f"{label}: degenerate (coefficient identically zero)")
@@ -175,18 +175,15 @@ def test_ac08_smoothing_pipeline():
     mu = ag.rate_preserving_mu(family, 0.5, "exponential")
     cfg = ag.IntegratorConfig(t0=1.0, t_end=14.0, step=1e-3, record_stride=10)
     traj = ag.smoothed_flow(spec.generator, approx, family, mu, cfg, np.zeros(2))
-    V = np.array([r.V for r in traj.records])
-    B = np.array([r.budget for r in traj.records])
+    r = traj.records
+    V, B = r.V, r.budget
     tol = 1e-8 * max(1.0, V[0])
     worst_excess = float(np.max(np.diff(V) - np.diff(B)))
     assert worst_excess <= tol
 
-    nu = np.array([r.nu for r in traj.records])
-    eta = np.array([r.eta for r in traj.records])
-    gap = np.array([r.f_gap for r in traj.records])
-    div = np.exp(eta) * np.array([r.breg_xstar_z for r in traj.records])
-    rhs = np.exp(-nu) * (V[0] + B) * (1.0 + 1e-6)
-    bound_ok = bool(np.all(gap <= rhs) and np.all(div <= rhs))
+    div = np.exp(r.eta) * r.breg_xstar_z
+    rhs = np.exp(-r.nu) * (V[0] + B) * (1.0 + 1e-6)
+    bound_ok = bool(np.all(r.f_gap <= rhs) and np.all(div <= rhs))
     _report(
         "AC-8 (smoothed flow: certification, budgeted decay, gap bound)",
         cert.passed and worst_excess <= tol and bound_ok,

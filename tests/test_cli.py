@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import agflow.cli as cli
-from agflow import dynamics, problems
+from agflow import dynamics, lyapunov, problems
 from agflow.config import load_config
 from agflow.errors import ConfigurationError
 
@@ -204,19 +204,15 @@ def test_check_assumptions_slacks_csv_does_not_depend_on_writer_count(monkeypatc
     assert sorted(p.name for p in (tmp_path / "chk").iterdir()) == ["assumptions.json", "slacks.csv"]
 
 
-def test_reproduce_table_plumbing(monkeypatch, tmp_path):
+def _short_canonical_row():
     # one short row exercises the table path without the full canonical cost
-    row = {
-        "label": "constant D=2 sigma=1",
-        "family": lambda: cli.ConstantDamping(2.0, 1.0),
-        "problem": {"kind": "quadratic", "Q": np.diag([1.0, 4.0]), "b": np.zeros(2)},
-        "t0": 0.0,
-        "t_end": 8.0,
-        "model": "exponential",
-        "window": (4.0, 8.0),
-        "predicted": 1.0,
-        "required": 0.95,
-    }
+    row = cli.canonical_grid()[1]
+    assert row["label"] == "constant D=2 sigma=1"
+    return {**row, "t_end": 8.0, "window": (4.0, 8.0)}
+
+
+def test_reproduce_table_plumbing(monkeypatch, tmp_path):
+    row = _short_canonical_row()
     monkeypatch.setattr(cli, "canonical_grid", lambda: [row])
     assert cli.main(["reproduce-table", "--out", str(tmp_path), "--quiet"]) == 0
     table = (tmp_path / "rate_table.txt").read_text()
@@ -224,6 +220,23 @@ def test_reproduce_table_plumbing(monkeypatch, tmp_path):
     payload = json.loads((tmp_path / "rate_table.json").read_text())
     assert payload["pass"] is True
     assert payload["rows"][0]["monotone"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "report, key",
+    [("monotonicity_report", "monotone"), ("bound_check", "bounds"), ("integral_estimates", "integrals")],
+)
+def test_reproduce_table_row_fails_on_a_failing_report(monkeypatch, tmp_path, report, key):
+    row = _short_canonical_row()
+    monkeypatch.setattr(cli, "canonical_grid", lambda: [row])
+    shipped = getattr(lyapunov, report)
+    monkeypatch.setattr(lyapunov, report, lambda traj: dataclasses.replace(shipped(traj), passed=False))
+    assert cli.main(["reproduce-table", "--out", str(tmp_path), "--quiet"]) == cli.EXIT_CHECK_FAILURE
+    payload = json.loads((tmp_path / "rate_table.json").read_text())
+    [out] = payload["rows"]
+    assert out["fitted"] >= out["required"] and out[key]["passed"] is False
+    assert payload["pass"] is False and out["passed"] is False
+    assert "FAIL" in (tmp_path / "rate_table.txt").read_text()
 
 
 def test_smooth_demo(tmp_path):
@@ -252,6 +265,20 @@ def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
 
 def test_canonical_grid_shape():
     rows = cli.canonical_grid()
-    assert len(rows) == 8
-    labels = [r["label"] for r in rows]
-    assert len(set(labels)) == 8
+    assert [r["label"] for r in rows] == [
+        "constant D=1 sigma=1",
+        "constant D=2 sigma=1",
+        "constant D=4 sigma=1",
+        "hyperbolic sigma=1",
+        "hyperbolic sigma=0",
+        "polynomial C=1.5",
+        "polynomial C=3",
+        "polynomial C=6",
+    ]
+    # the required rates, typed out independently and pinned bit for bit
+    sqrt12 = np.sqrt(4.0 * 4.0 - 4.0)
+    assert [r["required"] for r in rows] == [
+        0.95 * 0.5, 0.95 * 1.0, 0.95 * (4.0 - sqrt12) / 2.0, 0.95 * 1.0, 1.8, 0.9 * 1.0, 1.8, 1.8
+    ]
+    for r in rows:
+        assert (r["model"], r["predicted"]) == r["family"].certified_rate

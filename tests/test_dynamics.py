@@ -137,9 +137,9 @@ def test_integrate_constant_damping_rate_bound():
     fam = ag.ConstantDamping(2.0, 1.0)
     cfg = ag.IntegratorConfig(t0=0.0, t_end=20.0, step=1e-3, record_stride=10)
     traj = ag.integrate(spec.generator, spec.objective, fam, cfg, np.array([1.0]))
-    V0 = traj.records[0].V
+    V0 = traj.records.V[0]
     assert V0 == pytest.approx(1.0, rel=1e-14)
-    assert traj.records[-1].f_gap <= np.exp(-20.0) * V0 * (1.0 + 1e-3)
+    assert traj.records.f_gap[-1] <= np.exp(-20.0) * V0 * (1.0 + 1e-3)
     # critically damped closed form x(t) = (1 + t) e^-t
     exact = 21.0 * np.exp(-20.0)
     assert traj.states_x[-1][0] == pytest.approx(exact, rel=1e-9)
@@ -391,6 +391,17 @@ def test_integrator_config_validation():
         ag.IntegratorConfig(t0=0.0, t_end=1.0, step=2.0)
     with pytest.raises(ConfigurationError):
         ag.IntegratorConfig(t0=0.0, t_end=1.0, record_stride=0)
+    for bad in (
+        {"t0": np.nan},
+        {"t0": -np.inf},
+        {"t_end": np.inf},
+        {"step": np.nan},
+        {"record_stride": 1.5},
+        {"record_stride": 2.0},
+    ):
+        with pytest.raises(ConfigurationError):
+            ag.IntegratorConfig(**{"t0": 0.0, "t_end": 1.0, "step": 1e-2, **bad})
+    assert ag.IntegratorConfig(t0=0.0, t_end=1.0, record_stride=np.int64(3)).record_stride == 3
 
 
 def test_integrate_rejects_inadmissible_t0():
@@ -447,8 +458,7 @@ def test_composed_maps_match_stepping_loop():
         scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
         assert np.max(np.abs(fast.states_x - ref.states_x)) <= 1e-11 * scale, entry["label"]
         assert np.max(np.abs(fast.states_z - ref.states_z)) <= 1e-11 * scale, entry["label"]
-        V = np.array([r.V for r in fast.records])
-        V_ref = np.array([r.V for r in ref.records])
+        V, V_ref = fast.records.V, ref.records.V
         assert np.max(np.abs(V - V_ref)) <= 1e-11 * max(1.0, V_ref[0]), entry["label"]
         ref_fitted = ag.fit_rate(ref, entry["model"], entry["window"])
         assert verdicts(fast, entry, fitted) == verdicts(ref, entry, ref_fitted), entry["label"]
@@ -499,11 +509,12 @@ def _old_csv(traj) -> str:
         + [f"slack{i}" for i in range(1, 5)]
     )
     lines = [",".join(cols)]
-    for k, r in enumerate(traj.records):
+    r = traj.records
+    for k in range(len(traj)):
         vals = (
             [traj.times[k]] + list(traj.states_x[k]) + list(traj.states_z[k])
-            + [r.V, r.f_gap, r.breg_xstar_z, r.breg_xstar_x, r.breg_z_x]
-            + [r.slack1, r.slack2, r.slack3, r.slack4]
+            + [r.V[k], r.f_gap[k], r.breg_xstar_z[k], r.breg_xstar_x[k], r.breg_z_x[k]]
+            + [r.slack1[k], r.slack2[k], r.slack3[k], r.slack4[k]]
         )
         lines.append(",".join(f"{v:.17g}" for v in vals))
     return "\n".join(lines) + "\n"

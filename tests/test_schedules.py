@@ -103,6 +103,38 @@ def test_polynomial_nu_growth_exponents():
         assert growth == pytest.approx(expo * math.log(4.0), abs=1e-10)
 
 
+# The canonical rate table's predicted exponents, typed out independently of
+# the families' code, in `shipped_families` order.
+TYPED_RATES = [
+    ("exponential", 0.5),
+    ("exponential", 1.0),
+    ("exponential", (4.0 - math.sqrt(4.0 * 4.0 - 4.0)) / 2.0),
+    ("exponential", 1.0),
+    ("polynomial", 2.0),
+    ("polynomial", 1.0),
+    ("polynomial", 2.0),
+    ("polynomial", 2.0),
+]
+
+
+def test_certified_rate_equals_typed_predictions():
+    assert [fam.certified_rate for fam in shipped_families()] == TYPED_RATES
+    assert ag.ScheduleFamily.certified_rate is None
+    assert ag.with_modified_nu(ag.ConstantDamping(2.0, 1.0)).certified_rate is None
+
+
+def test_certified_rate_is_the_growth_rate_of_nu():
+    # e^-nu bounds the gap, so nu grows like r t (exponential) or r log t
+    # (polynomial): nu_dot -> r, or t nu_dot = r
+    for fam in shipped_families():
+        model, rate = fam.certified_rate
+        if model == "exponential":
+            assert fam.sample(100.0).nu_dot == pytest.approx(rate, rel=1e-12), fam.describe()
+        else:
+            t = np.array([1.0, 7.0, 100.0])
+            assert t * fam.sample(t).nu_dot == pytest.approx(rate, rel=1e-12), fam.describe()
+
+
 def test_check_general_constant_equalities():
     rep = ag.check_general(ag.ConstantDamping(2.0, 1.0), 1.0, GRID)
     assert rep.passed

@@ -187,9 +187,8 @@ def test_smoothed_flow_bounds_on_pure_l1():
     traj = ag.smoothed_flow(ag.squared_euclidean(1), a, fam, mu, cfg, np.array([1.5]))
     assert ag.monotonicity_report(traj).passed
     assert ag.bound_check(traj).passed
-    V0 = traj.records[0].V
-    for r in traj.records:
-        assert r.f_gap <= np.exp(-r.nu) * (V0 + r.budget) * (1.0 + 1e-6)
+    r = traj.records
+    assert np.all(r.f_gap <= np.exp(-r.nu) * (r.V[0] + r.budget) * (1.0 + 1e-6))
 
 
 def test_smoothed_flow_tracks_budgeted_increments():
@@ -198,8 +197,7 @@ def test_smoothed_flow_tracks_budgeted_increments():
     mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
     cfg = ag.IntegratorConfig(t0=1.0, t_end=8.0, step=1e-3, record_stride=10)
     traj = ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, np.zeros(2))
-    V = np.array([r.V for r in traj.records])
-    B = np.array([r.budget for r in traj.records])
+    V, B = traj.records.V, traj.records.budget
     tol = 1e-8 * max(1.0, V[0])
     assert np.max(np.diff(V) - np.diff(B)) <= tol
     rep = ag.monotonicity_report(traj)
@@ -249,8 +247,7 @@ def test_grid_mu_matches_per_stage_mu_oracle():
     scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
     assert np.max(np.abs(fast.states_x - ref.states_x)) <= 1e-12 * scale
     assert np.max(np.abs(fast.states_z - ref.states_z)) <= 1e-12 * scale
-    V = np.array([r.V for r in fast.records])
-    V_ref = np.array([r.V for r in ref.records])
+    V, V_ref = fast.records.V, ref.records.V
     assert np.max(np.abs(V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
     # the trajectory's time-form gradient is the smoothed one, not base's
     x, t = fast.states_x[len(fast) // 2], float(fast.times[len(fast) // 2])
