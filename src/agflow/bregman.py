@@ -26,20 +26,18 @@ Vector = np.ndarray
 class DistanceGenerator:
     """A convex function h with gradient and Hessian access.
 
-    ``hessian_solve(point, rhs)`` returns w with hess_h(point) @ w = rhs;
-    ``strong_convexity`` is a modulus c > 0 with hess_h >= c * I on the
-    working domain, and ``symmetric`` records whether D_h(x,y) = D_h(y,x)
-    for all pairs.  ``sample_point`` draws in-domain points for the sampled
-    checks; the default is the box [-2, 2]^n.  ``hessian`` is the constant
-    Hessian H of a quadratic h, or None; with it the integrator may run the
-    flow as composed linear step maps.
+    ``hessian_solve(point, rhs)`` returns w with hess_h(point) @ w = rhs,
+    and ``symmetric`` records whether D_h(x,y) = D_h(y,x) for all pairs.
+    ``sample_point`` draws in-domain points for the sampled checks; the
+    default is the box [-2, 2]^n.  ``hessian`` is the constant Hessian H of a
+    quadratic h, or None; with it the integrator may run the flow as composed
+    linear step maps.
     """
 
     dim: int
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
     hessian_solve: Callable[[Vector, Vector], Vector]
-    strong_convexity: float
     symmetric: bool
     domain_guard: Callable[[Vector], bool]
     name: str = "h"
@@ -250,7 +248,6 @@ def squared_euclidean(dim: int) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         hessian_solve=lambda point, rhs: np.asarray(rhs, dtype=float),
-        strong_convexity=1.0,
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
         name="squared_euclidean",
@@ -268,7 +265,6 @@ def diagonal_quadratic(weights) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, w * x),
         gradient=lambda x: w * x,
         hessian_solve=lambda point, rhs: rhs / w,
-        strong_convexity=float(np.min(w)),
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
         name="diagonal_quadratic",
@@ -298,7 +294,6 @@ def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
         value=lambda x: np.sum(x * np.log(x), axis=-1),
         gradient=lambda x: 1.0 + np.log(x),
         hessian_solve=lambda point, rhs: rhs * point,
-        strong_convexity=1.0,
         symmetric=False,
         domain_guard=lambda x: bool(np.all(x > 0) and np.all(np.isfinite(x))),
         name="negative_entropy",
@@ -322,7 +317,6 @@ def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
         value=lambda x: 0.5 * _dot(x, np.einsum("...j,ij->...i", x, Q)),
         gradient=lambda x: np.einsum("...j,ij->...i", x, Q),
         hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
-        strong_convexity=float(eigs[0]),
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.isfinite(x))),
         name="quadratic_matrix",

@@ -145,7 +145,7 @@ def cmd_simulate(args) -> int:
     _write_json(out / "summary.json", summary)
     if not args.quiet:
         state = "pass" if summary["pass"] else "FAIL"
-        print(f"simulate: {spec.identifier} under {family.describe()} -> {state}")
+        print(f"simulate: {spec.objective.name} under {family.describe()} -> {state}")
         print(f"outputs in {out}")
     return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE
 
@@ -159,8 +159,7 @@ def cmd_check_assumptions(args) -> int:
     family = cfg.build_family()
     t0 = family.default_t0 if cfg.t0 is None else cfg.t0
     grid = time_grid(max(t0, family.t_min), cfg.t_end, cfg.grid_num)
-    fam_sigma = getattr(family, "sigma", None)
-    sigma = 0.0 if fam_sigma is None else fam_sigma
+    sigma = 0.0 if family.sigma is None else family.sigma
     report = _condition_report(family, sigma, grid, symmetric=True)
     names = ["t", "slack1", "slack2", "slack3", "slack4"]
     write_table(out / "slacks.csv", names, [grid, report.slacks.T])
@@ -296,28 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
+    # (command, function, takes --config, takes --seed, help)
+    for name, func, needs_config, seeded, text in (
+        ("simulate", cmd_simulate, True, True, "integrate a configured flow and verify it"),
+        ("check-assumptions", cmd_check_assumptions, True, False,
+         "evaluate schedule conditions on a grid"),
+        ("reproduce-table", cmd_reproduce_table, False, False, "run the canonical rate grid"),
+        ("smooth-demo", cmd_smooth_demo, False, True, "run the smoothing pipeline on l1 denoising"),
+    ):
+        p = sub.add_parser(name, help=text)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-
-    p_sim = sub.add_parser("simulate", help="integrate a configured flow and verify it")
-    common(p_sim, True)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_chk = sub.add_parser("check-assumptions", help="evaluate schedule conditions on a grid")
-    common(p_chk, True)
-    p_chk.set_defaults(func=cmd_check_assumptions)
-
-    p_tab = sub.add_parser("reproduce-table", help="run the canonical rate grid")
-    common(p_tab, False)
-    p_tab.set_defaults(func=cmd_reproduce_table)
-
-    p_smo = sub.add_parser("smooth-demo", help="run the smoothing pipeline on l1 denoising")
-    common(p_smo, False)
-    p_smo.set_defaults(func=cmd_smooth_demo)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -21,7 +21,8 @@ from .dynamics import IntegratorConfig
 from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, with_modified_nu
 
 PROBLEM_KINDS = ("quadratic", "flat_quadratic", "l1_denoise")
-FAMILY_KINDS = ("constant", "hyperbolic", "polynomial")
+# [schedule].family -> class; its `params` are read as lower-case keys
+FAMILIES = {cls.name: cls for cls in (ConstantDamping, Hyperbolic, PolynomialDamping)}
 VARIANT_KINDS = ("auto", "standard", "symmetric")
 FIT_MODELS = ("exponential", "polynomial")
 OUTPUT_FORMATS = ("csv", "json")
@@ -82,13 +83,7 @@ class ExperimentConfig:
         return problems.l1_denoise(p["y"], p["w"])
 
     def build_family(self):
-        fp = self.family_params
-        if self.family_kind == "constant":
-            base = ConstantDamping(fp["D"], fp["sigma"])
-        elif self.family_kind == "hyperbolic":
-            base = Hyperbolic(fp["sigma"])
-        else:
-            base = PolynomialDamping(fp["C"])
+        base = FAMILIES[self.family_kind](**self.family_params)
         if self.nu_dot_factor != 1.0:
             return with_modified_nu(base, factor=self.nu_dot_factor)
         return base
@@ -181,18 +176,13 @@ def load_config(path: str) -> ExperimentConfig:
 
     sched = need("schedule")
     family_kind = sched.get("family", "").strip()
-    if family_kind not in FAMILY_KINDS:
+    if family_kind not in FAMILIES:
         raise ConfigurationError(
-            f"[schedule].family must be one of {FAMILY_KINDS}, got {family_kind!r}"
+            f"[schedule].family must be one of {tuple(FAMILIES)}, got {family_kind!r}"
         )
-    fparams: dict = {}
-    if family_kind == "constant":
-        fparams["D"] = get_float("schedule", "d", required=True)
-        fparams["sigma"] = get_float("schedule", "sigma", required=True)
-    elif family_kind == "hyperbolic":
-        fparams["sigma"] = get_float("schedule", "sigma", required=True)
-    else:
-        fparams["C"] = get_float("schedule", "c", required=True)
+    fparams = {
+        p: get_float("schedule", p.lower(), required=True) for p in FAMILIES[family_kind].params
+    }
     nu_dot_factor = get_float("schedule", "nu_dot_factor", default=1.0)
 
     need("integrator")

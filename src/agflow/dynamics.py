@@ -3,10 +3,10 @@
 The second-order flow is integrated as the first-order pair (x, z) with
 
     xdot = e^alpha (z - x)
-    hess_h(z) zdot = -(delta_dot + eta_dot - alpha_dot - e^alpha)
-                       [grad h(z) - grad h(x)]  -  e^(alpha - eta) grad f(x)
+    hess_h(z) zdot = -K [grad h(z) - grad h(x)]  -  e^(alpha - eta) grad f(x)
 
-using classical fixed-step 4th-order Runge-Kutta.  Schedule coefficients are
+using classical fixed-step 4th-order Runge-Kutta.  The schedule coefficients
+e^alpha, K and e^(alpha - eta) (`schedules.flow_coefficients`) are
 precomputed on the half-step grid in one vectorized pass.
 
 Every flow is stepped in the deviation d = z - x, in which it reads
@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     TimeDomainError,
 )
-from .schedules import ScheduleFamily, ScheduleSample
+from .schedules import ScheduleFamily, ScheduleSample, flow_coefficients, is_standard_form
 
 Vector = np.ndarray
 
@@ -125,11 +125,10 @@ class Trajectory:
         if len(self) < 3:
             raise ConfigurationError("need at least 3 recorded samples")
         s = self.family.sample(self.times)
-        ea = np.exp(s.alpha)
-        K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
+        ea, K, ema = flow_coefficients(s)
         times = self.times.tolist()
         grad = lambda x, k: self.gradient_of(x, times[k])  # noqa: E731
-        kappa, forcing = _stage_forcing(self.h, grad, K, np.exp(s.alpha - s.eta))
+        kappa, forcing = _stage_forcing(self.h, grad, K, ema)
         x, d = self.states_x, self.states_z - self.states_x
         F = np.zeros_like(d)
         for k in range(1, len(self) - 1):
@@ -304,11 +303,8 @@ def rhs_general(
     for label, p in (("x", x), ("z", z)):
         if not h.domain_guard(p):
             raise IntegrationError(f"{label} = {p} left the domain of {h.name}", last_state=state)
-    ea = np.exp(s.alpha)
-    K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-    kappa, forcing = _stage_forcing(
-        h, lambda x, j: f.gradient(x), np.array([K]), np.array([np.exp(s.alpha - s.eta)])
-    )
+    ea, K, ema = flow_coefficients(s)
+    kappa, forcing = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]))
     d = z - x
     F = np.empty_like(d)
     forcing(0, x, d, F)
@@ -322,7 +318,7 @@ def rhs_l2(f: Objective, s: ScheduleSample, state: FlowState):
     zdot = -(delta_dot + alpha_dot - e^alpha)(z - x) - e^(-alpha) grad f(x).
     Equivalent second-order form: xddot + delta_dot*xdot + grad f(x) = 0.
     """
-    if abs(s.eta - 2.0 * s.alpha) > 1e-12 * (1.0 + abs(s.eta)):
+    if not is_standard_form(s):
         raise PreconditionError(
             f"standard form requires eta = 2*alpha (eta={s.eta!r}, alpha={s.alpha!r})"
         )
@@ -356,16 +352,15 @@ def integrate(
     x0: Vector,
     v0: Optional[Vector] = None,
     variant=None,
-    sigma: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the flow and record diagnostics every `record_stride` steps.
 
     The horizon is snapped to a whole number of steps.  `variant` defaults to
     the symmetric Lyapunov function when the schedule carries exp(pi) > 0 (and
-    h is symmetric), the standard one otherwise.  `sigma` defaults to the
-    family's uniform-convexity constant, falling back to the objective's.
+    h is symmetric), the standard one otherwise.  The certificates use the
+    family's sigma, falling back to the objective's.
     """
-    return _integrate_core(h, f, family, config, x0, v0, variant=variant, sigma=sigma)
+    return _integrate_core(h, f, family, config, x0, v0, variant=variant)
 
 
 def half_step_grid(config: IntegratorConfig):
@@ -398,6 +393,7 @@ def _integrate_core(
     trajectory's `gradient_of(x, t)` is grad f; a caller that overrides the
     gradient attaches its own time form.  `mu_grid`, the smoothing parameter
     on the half-step grid, gives the Smoothed variant's diagnostics their mu.
+    `sigma` defaults to `family.sigma`, falling back to `f.sigma`.
     `v0` defaults to zero; `x0` and `v0` must have shape (h.dim,).
     """
     x0 = np.asarray(x0, dtype=float)
@@ -416,9 +412,7 @@ def _integrate_core(
 
     # Schedule coefficients on the half-step grid, one vectorized evaluation.
     sg = family.sample(tgrid)
-    ea_g = np.exp(sg.alpha)
-    K_g = sg.delta_dot + sg.eta_dot - sg.alpha_dot - ea_g
-    ema_g = np.exp(sg.alpha - sg.eta)
+    ea_g, K_g, ema_g = flow_coefficients(sg)
 
     base_grad = f.gradient
     grad = gradient_override
@@ -426,8 +420,7 @@ def _integrate_core(
         grad = lambda x, j: base_grad(x)  # noqa: E731
 
     if sigma is None:
-        fam_sigma = getattr(family, "sigma", None)
-        sigma = f.sigma if fam_sigma is None else fam_sigma
+        sigma = f.sigma if family.sigma is None else family.sigma
 
     if variant is None:
         uses_pi = bool(np.any(sg.exp_pi > 0))
@@ -480,10 +473,7 @@ def _integrate_core(
 
     grid_idx = 2 * rec_steps
     s_rec = ScheduleSample(**{name: v[grid_idx] for name, v in vars(sg).items()})
-    standard_form = bool(
-        h.identity_hessian
-        and np.max(np.abs(sg.eta - 2.0 * sg.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(sg.eta)))
-    )
+    standard_form = h.identity_hessian and is_standard_form(sg)
     # free the half-step grid before the diagnostics pass (the finished walk
     # holds none of it)
     del tgrid, sg, ea_g, K_g, ema_g
@@ -568,7 +558,7 @@ def _stage_forcing(h, grad, K_g, ema_g):
       kappa = K and F = -e^(alpha - eta) grad f(x)  when hess h = I;
       kappa = 0 and F = hess_h(z)^-1 [-K (grad h(z) - grad h(x))
                                       - e^(alpha - eta) grad f(x)]  otherwise,
-    where K = delta_dot + eta_dot - alpha_dot - e^alpha and z = x + d.
+    with K from `schedules.flow_coefficients` and z = x + d.
     Returns kappa on the half-step grid and `forcing(j, x, d, out)`, which
     writes F at grid point j into `out`; `grad(x, j)` is grad f there.
     """

@@ -1,8 +1,7 @@
 """Built-in convex test objectives with known minimizers.
 
 All problems are small (n <= 10) so the full verification suite runs in
-seconds.  Each ships the objective, a matched distance generator, and the
-uniform-convexity constant it certifies against.
+seconds.  Each ships the objective and a matched distance generator.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    identifier: str
     objective: Objective
     generator: DistanceGenerator
-    sigma: float
 
 
 def quadratic(Q, b) -> ProblemSpec:
@@ -50,12 +47,7 @@ def quadratic(Q, b) -> ProblemSpec:
         name="quadratic",
         hessian=Q,
     )
-    return ProblemSpec(
-        identifier="quadratic",
-        objective=obj,
-        generator=squared_euclidean(Q.shape[0]),
-        sigma=float(eigs[0]),
-    )
+    return ProblemSpec(objective=obj, generator=squared_euclidean(Q.shape[0]))
 
 
 def flat_quadratic(A, b) -> ProblemSpec:
@@ -81,12 +73,7 @@ def flat_quadratic(A, b) -> ProblemSpec:
         name="flat_quadratic",
         hessian=A.T @ A,
     )
-    return ProblemSpec(
-        identifier="flat_quadratic",
-        objective=obj,
-        generator=squared_euclidean(A.shape[1]),
-        sigma=0.0,
-    )
+    return ProblemSpec(objective=obj, generator=squared_euclidean(A.shape[1]))
 
 
 def soft_threshold(y, w: float) -> np.ndarray:
@@ -116,12 +103,7 @@ def l1_denoise(y, w: float) -> ProblemSpec:
         smooth=False,
         name="l1_denoise",
     )
-    return ProblemSpec(
-        identifier="l1_denoise",
-        objective=obj,
-        generator=squared_euclidean(y.size),
-        sigma=1.0,
-    )
+    return ProblemSpec(objective=obj, generator=squared_euclidean(y.size))
 
 
 def l1_subgradient_gap(y, w: float, xstar) -> float:

@@ -6,6 +6,9 @@ Lyapunov function.  Only the derivative of delta is carried (constant shifts
 of delta do not change the flow), and pi is stored as exp(pi) so the value 0
 represents the disabled case pi = -infinity.
 
+A family states alpha, delta_dot and nu with their derivatives, and eta or
+exp(pi) only where it leaves the standard form eta = 2 alpha, exp(pi) = 0,
+which `sample` fills in otherwise.
 ``sample`` accepts a scalar or a 1-d array of times; array input returns a
 bundle of arrays, which the checkers and the integrator rely on.
 """
@@ -75,14 +78,18 @@ def time_grid(t0: float, t_end: float, num: int) -> np.ndarray:
 class ScheduleFamily:
     """Base class; concrete families fill in `_evaluate` on an array of times.
 
-    `certified_rate` is the decay of the objective gap that the family's nu
-    certifies: ("exponential", r) for e^(-r t), ("polynomial", r) for t^-r,
-    or None where the family states none.
+    `params` names the constructor parameters, which `describe` reports.
+    `sigma` is the uniform-convexity constant the family is built for, or
+    None where it states none.  `certified_rate` is the decay of the
+    objective gap that the family's nu certifies: ("exponential", r) for
+    e^(-r t), ("polynomial", r) for t^-r, or None where the family states none.
     """
 
     name = "base"
+    params: tuple = ()
     t_min: float = -math.inf
     default_t0: float = 0.0
+    sigma: Optional[float] = None
     certified_rate: Optional[tuple] = None
 
     def _evaluate(self, t: np.ndarray) -> dict:
@@ -99,12 +106,20 @@ class ScheduleFamily:
         ts = np.asarray(t, dtype=float)
         self.check_time(ts)
         fields = self._evaluate(ts)
+        # the standard form wherever `_evaluate` leaves a field out
+        if "eta" not in fields:
+            fields["eta"] = 2.0 * fields["alpha"]
+        if "eta_dot" not in fields:
+            fields["eta_dot"] = 2.0 * fields["alpha_dot"]
+        missing = {"exp_pi", "exp_pi_dot"} - fields.keys()
+        if missing:
+            fields.update(dict.fromkeys(missing, np.zeros_like(ts)))
         if scalar:
             fields = {k: float(v) for k, v in fields.items()}
         return ScheduleSample(t=float(ts) if scalar else ts, **fields)
 
     def describe(self) -> dict:
-        return {"family": self.name}
+        return {"family": self.name, **{p: getattr(self, p) for p in self.params}}
 
 
 class ConstantDamping(ScheduleFamily):
@@ -116,6 +131,7 @@ class ConstantDamping(ScheduleFamily):
     """
 
     name = "constant"
+    params = ("D", "sigma")
     t_min = -math.inf
     default_t0 = 0.0
 
@@ -147,9 +163,6 @@ class ConstantDamping(ScheduleFamily):
             "exp_pi_dot": zero,
         }
 
-    def describe(self) -> dict:
-        return {"family": self.name, "D": self.D, "sigma": self.sigma}
-
 
 class Hyperbolic(ScheduleFamily):
     """Hyperbolic-function damping; the sigma = 0 branch is 3/t damping.
@@ -161,6 +174,7 @@ class Hyperbolic(ScheduleFamily):
     """
 
     name = "hyperbolic"
+    params = ("sigma",)
     t_min = 1e-3
     default_t0 = 1e-3
 
@@ -183,31 +197,18 @@ class Hyperbolic(ScheduleFamily):
                 "alpha": np.log(2.0 / t),
                 "alpha_dot": -1.0 / t,
                 "delta_dot": 3.0 / t,
-                "eta": 2.0 * np.log(2.0 / t),
-                "eta_dot": -2.0 / t,
                 "nu": 2.0 * np.log(t),
                 "nu_dot": 2.0 / t,
-                "exp_pi": np.zeros_like(t),
-                "exp_pi_dot": np.zeros_like(t),
             }
         s = math.sqrt(self.sigma)
         u = np.tanh(0.5 * s * t)
-        alpha = np.log(s / u)
-        alpha_dot = -s * (1.0 - u * u) / (2.0 * u)
         return {
-            "alpha": alpha,
-            "alpha_dot": alpha_dot,
+            "alpha": np.log(s / u),
+            "alpha_dot": -s * (1.0 - u * u) / (2.0 * u),
             "delta_dot": s * (3.0 + u * u) / (2.0 * u),
-            "eta": 2.0 * alpha,
-            "eta_dot": 2.0 * alpha_dot,
             "nu": 2.0 * np.log(np.sinh(0.5 * s * t)),
             "nu_dot": s / u,
-            "exp_pi": np.zeros_like(t),
-            "exp_pi_dot": np.zeros_like(t),
         }
-
-    def describe(self) -> dict:
-        return {"family": self.name, "sigma": self.sigma}
 
 
 class PolynomialDamping(ScheduleFamily):
@@ -219,6 +220,7 @@ class PolynomialDamping(ScheduleFamily):
     """
 
     name = "polynomial"
+    params = ("C",)
     t_min = 1e-3
     default_t0 = 1.0
     sigma = 0.0
@@ -231,12 +233,7 @@ class PolynomialDamping(ScheduleFamily):
         self.C = float(C)
         self.t_min = float(t_min)
         self.certified_rate = ("polynomial", min(2.0 * self.C / 3.0, 2.0))
-        if C < 3.0:
-            self.exp_pi_value = (3.0 - C) / (2.0 * C)
-        elif C == 3.0:
-            self.exp_pi_value = 0.0
-        else:
-            self.exp_pi_value = (C - 3.0) / (2.0 * C)
+        self.exp_pi_value = abs(3.0 - self.C) / (2.0 * self.C)
 
     def _evaluate(self, t: np.ndarray) -> dict:
         C = self.C
@@ -245,25 +242,21 @@ class PolynomialDamping(ScheduleFamily):
             "alpha": np.log(2.0 * C / (3.0 * t)),
             "alpha_dot": -1.0 / t,
             "delta_dot": C / t,
-            "eta": 2.0 * np.log(2.0 * C / (3.0 * t)),
-            "eta_dot": -2.0 / t,
             "nu": nu_rate * np.log(t),
             "nu_dot": nu_rate / t,
             "exp_pi": np.full_like(t, self.exp_pi_value),
-            "exp_pi_dot": np.zeros_like(t),
         }
-
-    def describe(self) -> dict:
-        return {"family": self.name, "C": self.C}
 
 
 class CustomSchedule(ScheduleFamily):
-    """User-supplied callables for every sampled field.
+    """User-supplied callables for every sampled field; exp(pi) and its
+    derivative default to zero.
 
     Callables must accept scalar or array t (numpy-vectorized expressions do).
     """
 
     name = "custom"
+    params = ("description",)
 
     def __init__(
         self,
@@ -289,8 +282,8 @@ class CustomSchedule(ScheduleFamily):
             "eta_dot": eta_dot,
             "nu": nu,
             "nu_dot": nu_dot,
-            "exp_pi": exp_pi if exp_pi is not None else (lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-            "exp_pi_dot": exp_pi_dot if exp_pi_dot is not None else (lambda t: np.zeros_like(np.asarray(t, dtype=float))),
+            "exp_pi": exp_pi,
+            "exp_pi_dot": exp_pi_dot,
         }
         self.t_min = float(t_min)
         self.default_t0 = float(default_t0)
@@ -298,13 +291,29 @@ class CustomSchedule(ScheduleFamily):
         self.sigma = sigma
 
     def _evaluate(self, t: np.ndarray) -> dict:
-        out = {}
-        for key, fn in self._fields.items():
-            out[key] = np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape).copy()
-        return out
+        return {
+            key: np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape).copy()
+            for key, fn in self._fields.items()
+            if fn is not None
+        }
 
-    def describe(self) -> dict:
-        return {"family": self.name, "description": self.description}
+
+class _ModifiedNu(CustomSchedule):
+    """`base` with nu -> factor*nu + shift; see `with_modified_nu`."""
+
+    def __init__(self, base: ScheduleFamily, factor: float, shift: float):
+        self.base, self.factor, self.shift = base, factor, shift
+        self.t_min = base.t_min
+        self.default_t0 = base.default_t0
+        self.description = f"{base.name} with nu scaled by {factor:g} and shifted by {shift:g}"
+        self.sigma = base.sigma
+
+    def _evaluate(self, t: np.ndarray) -> dict:
+        fields = dict(vars(self.base.sample(t)))
+        del fields["t"]
+        fields["nu"] = self.factor * fields["nu"] + self.shift
+        fields["nu_dot"] = self.factor * fields["nu_dot"]
+        return fields
 
 
 def with_modified_nu(base: ScheduleFamily, factor: float = 1.0, shift: float = 0.0) -> CustomSchedule:
@@ -312,27 +321,10 @@ def with_modified_nu(base: ScheduleFamily, factor: float = 1.0, shift: float = 0
 
     A shift only rescales the Lyapunov function by a constant; a factor != 1
     changes the certified rate and, for factor > 1, breaks the condition
-    nu_dot <= exp(alpha) -- the deliberate negative-control schedule.
+    nu_dot <= exp(alpha) -- the deliberate negative-control schedule.  The
+    wrapper is a `CustomSchedule` and samples `base` once per call.
     """
-
-    def fld(name):
-        return lambda t: getattr(base.sample(t), name)
-
-    return CustomSchedule(
-        alpha=fld("alpha"),
-        alpha_dot=fld("alpha_dot"),
-        delta_dot=fld("delta_dot"),
-        eta=fld("eta"),
-        eta_dot=fld("eta_dot"),
-        nu=lambda t: factor * base.sample(t).nu + shift,
-        nu_dot=lambda t: factor * base.sample(t).nu_dot,
-        exp_pi=fld("exp_pi"),
-        exp_pi_dot=fld("exp_pi_dot"),
-        t_min=base.t_min,
-        default_t0=base.default_t0,
-        description=f"{base.name} with nu scaled by {factor:g} and shifted by {shift:g}",
-        sigma=getattr(base, "sigma", None),
-    )
+    return _ModifiedNu(base, factor, shift)
 
 
 @dataclass(frozen=True)
@@ -384,19 +376,41 @@ class ConditionReport:
         }
 
 
+def flow_coefficients(s: ScheduleSample) -> tuple:
+    """(e^alpha, K, e^(alpha - eta)) at the sample s, with K = delta_dot +
+    eta_dot - alpha_dot - e^alpha: the coefficients of the flow and of its
+    conditions."""
+    ea = np.exp(s.alpha)
+    return ea, s.delta_dot + s.eta_dot - s.alpha_dot - ea, np.exp(s.alpha - s.eta)
+
+
+def is_standard_form(s: ScheduleSample) -> bool:
+    """eta = 2*alpha on the sample s, to 1e-12 relative to max |eta|."""
+    return bool(np.max(np.abs(s.eta - 2.0 * s.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(s.eta))))
+
+
 def condition_slacks(s: ScheduleSample, sigma: float) -> tuple:
     """The four `general2` condition slacks (GENERAL2_ITEMS) at the sample s,
     whose fields are scalars or arrays alike.  Each must be <= 0 for an
     admissible schedule; with exp(pi) = 0 they are the `general` ones."""
-    ea = np.exp(s.alpha)
-    K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
+    ea, K, ema = flow_coefficients(s)
     epa = s.exp_pi * ea
     return (
         s.nu_dot - ea,
         -K + s.nu_dot + s.eta_dot + epa,
-        K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
+        K - sigma * ema - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
         -K - epa,
     )
+
+
+def alpha_ode_residual(s: ScheduleSample, sigma: float):
+    """e^alpha (slack2 + slack3 - slack1) of `condition_slacks` at s.
+
+    In the standard form (eta = 2*alpha, exp(pi) = 0) this is the residual
+    2*alpha_dot*e^alpha + e^(2*alpha) - sigma of the damping-scale ODE that
+    makes slacks 1-3 tight."""
+    s1, s2, s3, _ = condition_slacks(s, sigma)
+    return np.exp(s.alpha) * (s2 + s3 - s1)
 
 
 def check_general(
@@ -448,11 +462,8 @@ def check_para(
     and the `condition_slacks` read as PARA_ITEMS."""
     grid = np.asarray(grid, dtype=float)
     s = family.sample(grid)
-    dev = np.max(np.abs(s.eta - 2.0 * s.alpha) / (1.0 + np.abs(s.eta)))
-    if dev > 1e-12:
-        raise PreconditionError(
-            f"standard form requires eta = 2*alpha; max relative deviation {dev:.3e}"
-        )
+    if not is_standard_form(s):
+        raise PreconditionError("standard form requires eta = 2*alpha on the grid")
     slacks = np.vstack(condition_slacks(s, sigma))
     return ConditionReport("para", PARA_ITEMS, grid, slacks, tolerance)
 
@@ -514,20 +525,21 @@ def from_beta_parameterization(
 
 
 def verify_alpha_ode_residual(sigma: float, grid: np.ndarray) -> float:
-    """Max residual of 2*alpha_dot*e^alpha + e^(2*alpha) - sigma = 0 for the
-    hyperbolic family's alpha; the closed form solves this ODE exactly, so the
-    residual only measures floating-point defect.
+    """Max |`alpha_ode_residual`| of the hyperbolic family (sigma >= 0) on
+    the grid: the residual of 2*alpha_dot*e^alpha + e^(2*alpha) - sigma = 0,
+    read off the tight condition slacks.  The closed form solves this ODE
+    exactly (at sigma = 0 it is 3/t damping), so the residual only measures
+    floating-point defect.
 
-    The same ODE admits the constant branch e^alpha = sqrt(sigma) (residual
-    identically zero; that is the constant-damping steady state) and a slow
-    branch e^alpha = sqrt(sigma)*tanh(sqrt(sigma) t/2), which carries a worse
-    rate and is not shipped as a family.
+    The same ODE admits the constant branch e^alpha = sqrt(sigma) (slacks 1-3
+    identically zero; that is critical constant damping) and a slow branch
+    e^alpha = sqrt(sigma)*tanh(sqrt(sigma) t/2), which carries a worse rate
+    and is not shipped as a family.
     """
-    if sigma <= 0:
-        raise ConfigurationError("sigma must be positive")
+    if sigma < 0:
+        raise ConfigurationError("sigma must be nonnegative")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise ConfigurationError("grid must be strictly positive")
     s = Hyperbolic(sigma, t_min=float(grid.min())).sample(grid)
-    ea = np.exp(s.alpha)
-    return float(np.max(np.abs(2.0 * s.alpha_dot * ea + ea * ea - sigma)))
+    return float(np.max(np.abs(alpha_ode_residual(s, sigma))))

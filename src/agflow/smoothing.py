@@ -324,7 +324,6 @@ def smoothed_flow(
     config: IntegratorConfig,
     x0: Vector,
     v0: Optional[Vector] = None,
-    sigma: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the flow with grad f replaced by grad_x f~(x, mu(t)).
 
@@ -332,7 +331,8 @@ def smoothed_flow(
     B(t) = beta_s int nu_dot e^nu mu.  mu is evaluated once, vectorized, on
     the integrator's half-step grid; it must be positive, finite and
     nonincreasing at every grid point, and the stepping loop and the
-    diagnostics read it there by grid index.
+    diagnostics read it there by grid index.  The certificates use the
+    family's sigma, or 0 where it states none.
     """
     mu_g = np.asarray(mu_sched.mu(half_step_grid(config)[1]), dtype=float)
     if np.any(mu_g <= 0) or not np.all(np.isfinite(mu_g)):
@@ -343,9 +343,6 @@ def smoothed_flow(
     # an exact approximation drives the flow with base's own gradient, so the
     # run takes the same integration path as the unsmoothed flow of base
     grad = None if a.exact else (lambda x, j: a.grad_x(x, mu_g[j]))
-    if sigma is None:
-        fam_sigma = getattr(family, "sigma", None)
-        sigma = 0.0 if fam_sigma is None else fam_sigma
     traj = _integrate_core(
         h,
         a.base,
@@ -354,7 +351,7 @@ def smoothed_flow(
         x0,
         v0,
         variant=variant,
-        sigma=sigma,
+        sigma=0.0 if family.sigma is None else family.sigma,
         gradient_override=grad,
         extra_metadata={"smoothing": {"approximation": a.name, "mu": mu_sched.description}},
         mu_grid=mu_g,

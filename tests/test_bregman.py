@@ -181,7 +181,6 @@ def test_broken_sampler_is_configuration_error():
         value=base.value,
         gradient=base.gradient,
         hessian_solve=base.hessian_solve,
-        strong_convexity=base.strong_convexity,
         symmetric=base.symmetric,
         domain_guard=base.domain_guard,
         name="broken",
@@ -233,7 +232,6 @@ def test_generator_without_row_batches_is_configuration_error():
         value=lambda x: 0.5 * np.sum(x * x),  # no axis: one value for a batch
         gradient=base.gradient,
         hessian_solve=base.hessian_solve,
-        strong_convexity=1.0,
         symmetric=True,
         domain_guard=base.domain_guard,
         name="flat",

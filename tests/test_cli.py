@@ -56,7 +56,7 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.family_kind == "constant"
     assert cfg.step == pytest.approx(1e-3)
     spec = cfg.build_problem()
-    assert spec.sigma == 1.0
+    assert spec.objective.sigma == 1.0
     fam = cfg.build_family()
     assert fam.describe()["D"] == 2.0
 
@@ -245,6 +245,18 @@ def test_smooth_demo(tmp_path):
     assert summary["pass"] is True
     assert summary["certification"]["passed"] is True
     assert summary["metadata"]["integrator"]["path"] == "stepping_loop"
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "reproduce-table"])
+def test_seed_is_rejected_where_no_command_reads_it(tmp_path, command, capsys):
+    argv = [command, "--seed", "1", "--out", str(tmp_path / "o"), "--quiet"]
+    if command == "check-assumptions":
+        argv += ["--config", write_cfg(tmp_path, QUAD_CFG.format(t_end=1.0, out=tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "smooth-demo"])

@@ -239,7 +239,6 @@ def test_domain_exit_reports_last_valid_state(hessian):
         value=base.value,
         gradient=base.gradient,
         hessian_solve=base.hessian_solve,
-        strong_convexity=1.0,
         symmetric=True,
         domain_guard=lambda x: bool(np.all(np.abs(x) < 1.0)),
         name="boxed",
@@ -365,7 +364,6 @@ def test_hessian_solve_failure_is_numerical_error():
         hessian_solve=lambda point, rhs: (_ for _ in ()).throw(
             np.linalg.LinAlgError("singular")
         ),
-        strong_convexity=1.0,
         symmetric=True,
         domain_guard=base.domain_guard,
         name="singular",

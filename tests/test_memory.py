@@ -1,5 +1,6 @@
 """The transient memory of the diagnostics pass and of the table writers is
-set by their chunk sizes, not by the number of recorded samples.
+set by their chunk sizes, not by the number of recorded samples; a schedule
+sample holds no more grid arrays than its family needs.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics, lyapunov
+from agflow import dynamics, lyapunov, schedules
 
 M = 8 * lyapunov.ROW_CHUNK
 N = 64
@@ -80,3 +81,35 @@ def test_writer_transient_is_one_text_chunk(recorded, tmp_path, monkeypatch, wri
     monkeypatch.setattr(dynamics, "_writer_count", lambda rows: 2)
     _, transient = _transient(getattr(traj, writer), tmp_path / "table")
     assert transient <= WRITER_BOUND, transient
+
+
+# Points of a schedule grid: the half-step grid of 10^4 RK4 steps.
+GRID_POINTS = 20_001
+# Bytes beyond the grid arrays: the sample object and the array headers.
+OBJECT_SLACK = 4096
+
+
+@pytest.mark.parametrize(
+    "family, arrays",
+    [
+        # one zero array serves its four zero fields
+        (ag.ConstantDamping(2.0, 1.0), 6),
+        (ag.Hyperbolic(0.0), 9),
+        (ag.Hyperbolic(1.0), 9),
+        (ag.PolynomialDamping(1.5), 9),
+    ],
+    ids=["constant", "hyperbolic_sigma0", "hyperbolic_sigma1", "polynomial"],
+)
+def test_schedule_sample_holds_its_fields_only(family, arrays):
+    t = np.linspace(1.0, 20.0, GRID_POINTS)
+    tracemalloc.start()
+    try:
+        s = family.sample(t)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= arrays * t.nbytes + OBJECT_SLACK, held / t.nbytes
+    # the standard-form test allocates at most two grid-sized temporaries
+    standard, transient = _transient(schedules.is_standard_form, s)
+    assert standard
+    assert transient <= 2 * t.nbytes + OBJECT_SLACK, transient / t.nbytes

@@ -19,19 +19,19 @@ def shipped_specs():
 
 def test_identity_quadratic():
     spec = ag.quadratic(np.eye(2), np.zeros(2))
-    assert spec.sigma == 1.0
+    assert spec.objective.sigma == 1.0
     assert np.array_equal(spec.objective.minimizer, np.zeros(2))
 
 
 def test_diagonal_quadratic_minimizer():
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     assert spec.objective.minimizer == pytest.approx(np.array([1.0, 1.0]))
-    assert spec.sigma == 1.0
+    assert spec.objective.sigma == 1.0
 
 
 def test_ill_conditioned_sigma():
     spec = ag.quadratic(np.diag([1e-2, 1.0]), np.zeros(2))
-    assert spec.sigma == pytest.approx(1e-2)
+    assert spec.objective.sigma == pytest.approx(1e-2)
 
 
 def test_quadratic_rejects_indefinite():
@@ -43,7 +43,7 @@ def test_quadratic_rejects_indefinite():
 
 def test_flat_quadratic_trivial_kernel_direction():
     spec = ag.flat_quadratic(np.array([[1.0, 0.0]]), np.zeros(1))
-    assert spec.sigma == 0.0
+    assert spec.objective.sigma == 0.0
     assert spec.objective.optimal_value == 0.0
     assert np.array_equal(spec.objective.minimizer, np.zeros(2))
 
@@ -81,14 +81,14 @@ def test_uniform_convexity_of_all_shipped_problems():
         rep = ag.check_uniform_convexity(
             spec.objective, spec.generator, num_samples=1000, seed=0
         )
-        assert rep.passed, spec.identifier
+        assert rep.passed, spec.objective.name
 
 
 def test_optimality_certificates():
     for spec in shipped_specs():
         obj = spec.objective
         if obj.smooth:
-            assert np.linalg.norm(obj.gradient(obj.minimizer)) <= 1e-8, spec.identifier
+            assert np.linalg.norm(obj.gradient(obj.minimizer)) <= 1e-8, spec.objective.name
         assert obj.value(obj.minimizer) == pytest.approx(obj.optimal_value, abs=1e-12)
     assert l1_subgradient_gap(np.array([2.0, 0.1]), 1.0, np.array([1.0, 0.0])) == 0.0
 
@@ -108,7 +108,7 @@ def test_objective_gradients_match_finite_differences():
                 e = np.zeros(obj.dim)
                 e[i] = step
                 fd = (obj.value(x + e) - obj.value(x - e)) / (2 * step)
-                assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-8), spec.identifier
+                assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-8), spec.objective.name
 
 
 def test_quadratic_row_values_do_not_depend_on_the_batch():

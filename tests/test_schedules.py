@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow.errors import ConfigurationError, MappingError, PreconditionError, TimeDomainError
+from agflow.errors import (
+    ConfigurationError,
+    MappingError,
+    PreconditionError,
+    TimeDomainError,
+    UnsupportedFamilyError,
+)
+from agflow.schedules import alpha_ode_residual
 
 GRID = ag.time_grid(0.1, 10.0, 400)
 
@@ -273,15 +280,51 @@ def test_beta_parameterization_rejects_inadmissible_rate():
 
 def test_alpha_ode_residual_small():
     grid = ag.time_grid(0.1, 20.0, 1000)
-    for sigma in (0.25, 1.0, 4.0):
+    for sigma in (0.0, 0.25, 1.0, 4.0):
         assert ag.verify_alpha_ode_residual(sigma, grid) <= 1e-8
+    with pytest.raises(ConfigurationError):
+        ag.verify_alpha_ode_residual(-1.0, grid)
 
 
 def test_alpha_ode_constant_branch_residual_is_zero():
-    # the steady branch e^alpha = sqrt(sigma), alpha_dot = 0 solves the same ODE
+    # critical constant damping D = 2 sqrt(sigma) is the steady branch
+    # e^alpha = sqrt(sigma), alpha_dot = 0: slacks 1-3 and the residual vanish
     for sigma in (0.25, 1.0, 4.0):
-        ea = math.sqrt(sigma)
-        assert 2.0 * 0.0 * ea + ea * ea - sigma == 0.0
+        s = ag.ConstantDamping(2.0 * math.sqrt(sigma), sigma).sample(GRID)
+        assert all(np.all(slack == 0.0) for slack in ag.condition_slacks(s, sigma)[:3])
+        assert np.all(alpha_ode_residual(s, sigma) == 0.0)
+
+
+def test_alpha_ode_residual_matches_the_hand_written_ode():
+    # the damping-scale ODE typed out: 2 alpha_dot e^alpha + e^(2 alpha) - sigma
+    grid = ag.time_grid(0.1, 20.0, 1000)
+    for sigma in (0.0, 0.25, 1.0, 4.0):
+        s = ag.Hyperbolic(sigma, t_min=0.1).sample(grid)
+        ea = np.exp(s.alpha)
+        hand = 2.0 * s.alpha_dot * ea + ea * ea - sigma
+        assert np.max(np.abs(alpha_ode_residual(s, sigma) - hand)) <= 1e-12, sigma
+
+
+def test_with_modified_nu_samples_its_base_once():
+    base = ag.PolynomialDamping(1.5)
+    calls = []
+    sample = base.sample
+    base.sample = lambda t: calls.append(t) or sample(t)
+    fam = ag.with_modified_nu(base, factor=0.5, shift=2.0)
+    t = np.linspace(1.0, 5.0, 7)
+    got = fam.sample(t)
+    assert len(calls) == 1
+    want = sample(t)
+    for name in ("alpha", "alpha_dot", "delta_dot", "eta", "eta_dot", "exp_pi", "exp_pi_dot"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.nu, 0.5 * want.nu + 2.0)
+    assert np.array_equal(got.nu_dot, 0.5 * want.nu_dot)
+    assert fam.sample(2.0).nu == 0.5 * sample(2.0).nu + 2.0
+    assert fam.describe() == {
+        "family": "custom", "description": "polynomial with nu scaled by 0.5 and shifted by 2"
+    }
+    with pytest.raises(UnsupportedFamilyError):
+        ag.rate_preserving_mu(fam, 0.5, "exponential")
 
 
 def test_with_modified_nu_only_touches_nu():
