@@ -57,10 +57,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _condition_report(family, sigma, grid, symmetric: bool):
+    """`check_general2` where the schedule carries exp(pi) > 0 on the grid,
+    `check_general` otherwise, from one sample of the grid."""
     s = family.sample(grid)
     if np.any(np.asarray(s.exp_pi) > 0):
-        return check_general2(family, sigma, symmetric, grid)
-    return check_general(family, sigma, grid)
+        return check_general2(family, sigma, symmetric, grid, sample=s)
+    return check_general(family, sigma, grid, sample=s)
 
 
 def _run_experiment(cfg: ExperimentConfig):

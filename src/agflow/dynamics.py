@@ -16,13 +16,13 @@ Every flow is stepped in the deviation d = z - x, in which it reads
 with one forcing F for every generator (`_stage_forcing`).  Each RK4 stage
 point and the step update are then linear in d and the stages' forcings, with
 coefficients that depend only on the half-step grid, built ahead per chunk of
-steps (`_rk4_stage_coefficients`).  The stepping loop (the "stepping_loop"
-path) evaluates four forcings per step and applies them.  When f and h both
-declare constant Hessians (and no gradient override is given), the flow
-measured from its rest point splits into 2x2 modes with F = -e^(alpha - eta)
-lam u, so each step is a linear map per mode: two basis states pushed through
-the same coefficients.  The maps are composed in vectorized passes and only
-the composed maps are walked (the "composed_maps" path).
+steps (`rk4._rk4_stage_coefficients`).  The stepping loop (the
+"stepping_loop" path) evaluates four forcings per step and applies them.
+When f and h both declare constant Hessians (and no gradient override is
+given), the flow measured from its rest point splits into 2x2 modes with
+F = -e^(alpha - eta) lam u, so each step is a linear map per mode, built from
+the same coefficients, and `rk4._composed_maps` walks the maps (the
+"composed_maps" path).
 `metadata["integrator"]` names the path and counts steps and gradient calls.
 
 Either path hands its states to one shared check in blocks of consecutive
@@ -56,6 +56,7 @@ from .errors import (
     PreconditionError,
     TimeDomainError,
 )
+from .rk4 import _composed_maps, _rk4_stage_coefficients
 from .schedules import ScheduleFamily, ScheduleSample, flow_coefficients, is_standard_form
 
 Vector = np.ndarray
@@ -207,7 +208,7 @@ def _writer_count(rows: int) -> int:
 
 
 # Values per text chunk of a table: bounds the writers' transient memory.
-_TEXT_VALUES = 2**11
+_TEXT_VALUES = 2**12
 
 
 def _write_range(fh, columns, k0, k1, text, sep) -> None:
@@ -586,38 +587,6 @@ def _stage_forcing(h, grad, K_g, ema_g):
 _STEP_CHUNK = 256
 
 
-def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
-    """RK4 on xdot = a d, ddot = -b d + F as coefficients of steps k0..k1-1.
-
-    a = e^alpha and b = kappa + e^alpha at the loop's half-step grid points.
-    Stage s (s = 1..4) sits at (x + P[0] @ Y, P[1] @ Y) for Y = [d, F_1 ..
-    F_(s-1)] and the step maps (x, d) to (x + U[0] @ Y, U[1] @ Y) for Y =
-    [d, F_1 .. F_4], where F_s is the forcing at stage s.  Returns the stage
-    coefficients P of stages 2, 3 and 4, of shapes (m, 2, 2), (m, 2, 3) and
-    (m, 2, 4), and U, of shape (m, 2, 5), for the m = k1 - k0 steps.
-    """
-    grid = slice(2 * k0, 2 * k1 + 1)  # the chunk's half-step grid points
-    a, b = ea_g[grid], kappa_g[grid] + ea_g[grid]
-    j = 2 * np.arange(k1 - k0)
-    half = 0.5 * hstep
-    basis = np.eye(5)
-    points = (j, j + 1, j + 1, j + 2)  # each stage's grid point in the chunk
-    # d at stage 1 as a row over [d, F_1 .. F_4]; its x - x_step is 0
-    D = np.broadcast_to(basis[0], (j.size, 5))
-    stages, kx_sum, kd_sum = [], 0.0, 0.0
-    for s, (c, w) in enumerate(zip((half, half, hstep, None), (1.0, 2.0, 2.0, 1.0))):
-        kx = a[points[s], None] * D
-        kd = basis[s + 1] - b[points[s], None] * D
-        kx_sum = kx_sum + w * kx
-        kd_sum = kd_sum + w * kd
-        if c is not None:  # the next stage's point
-            X, D = c * kx, basis[0] + c * kd
-            stages.append(np.stack([X[:, : s + 2], D[:, : s + 2]], axis=1))
-    sixth = hstep / 6.0
-    U = np.stack([sixth * kx_sum, basis[0] + sixth * kd_sum], axis=1)
-    return (*stages, U)
-
-
 def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     """RK4 stepping for any generator and gradient, in deviation coordinates
     (see `_stage_forcing`); yields the block (steps, X, Z) of one step listed
@@ -719,77 +688,3 @@ def _modal_form(h: DistanceGenerator, f: Objective, x: Vector):
         )
     u_r = np.divide(c, lam, out=np.zeros_like(c), where=~flat)
     return S, lam, S @ u_r, S.T @ H
-
-
-# Step-modes per chunk of step maps: bounds the maps' transient memory.
-_MAP_CHUNK = 4096
-
-
-def _mv(A, y):
-    """Stacked 2x2 matrices times stacked 2-vectors."""
-    return (A @ y[..., None])[..., 0]
-
-
-def _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, k0, k1):
-    """RK4 step maps y -> M y of steps k0..k1-1, for every mode.
-
-    Mode i is the stepping loop's flow on y = (u_i, d_i) with the forcing
-    F = g u, g = -e^(alpha - eta) lam_i (see `_modal_form`).  The basis
-    states (1, 0) and (0, 1) are pushed through the loop's own stage
-    coefficients (`_rk4_stage_coefficients`): stage s sits at
-    u_s = u + sum_k P[0, k] Y_k with Y = [d, F_1 .. F_(s-1)] and F_s = g_s u_s,
-    and the states the step reaches are M's columns.  The arithmetic runs
-    entrywise on (steps, n) arrays.  Returns M of shape (steps, n, 2, 2).
-    """
-    *P, U = _rk4_stage_coefficients(ea_g, K_g, hstep, k0, k1)
-    j = 2 * np.arange(k0, k1)
-    g = [-ema_g[p, None] * lam for p in (j, j + 1, j + 1, j + 2)]
-
-    def row(C, Y):  # sum_k C[:, k] Y_k
-        return sum(C[:, k, None] * y for k, y in enumerate(Y))
-
-    M = np.empty((j.size, lam.size, 2, 2))
-    for col, (u, d) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        Y = [d, g[0] * u]
-        for gs, Ps in zip(g[1:], P):
-            Y.append(gs * (u + row(Ps[:, 0], Y)))
-        M[..., 0, col] = u + row(U[:, 0], Y)
-        M[..., 1, col] = row(U[:, 1], Y)
-    return M
-
-
-def _compose_blocks(M, starts, lengths):
-    """Compose the step maps of each block [start, start + length) into one map."""
-    Mb = M[starts]
-    for j in range(1, int(lengths.max())):
-        live = np.flatnonzero(lengths > j)
-        Mb[live] = M[starts[live] + j] @ Mb[live]
-    return Mb
-
-
-def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
-    """RK4 on a linear flow as composed per-mode linear maps in deviation
-    coordinates; yields the states after the steps listed in `events` as one
-    block (steps, X, Z) per chunk.
-
-    Each block of steps ends at an event.  A chunk of blocks has its step maps
-    built in one vectorized pass and composed per block; the blocks are then
-    walked in order.  RK4 commutes with the linear change of variables, so
-    this is the stepping loop's method and differs from it by round-off only;
-    a start at the rest point stays there exactly.
-    """
-    S, lam, x_r, to_modes = modes
-    y = np.stack([to_modes @ (x - x_r), to_modes @ (z - x)], axis=-1)
-    starts = np.concatenate(([0], events[:-1]))
-    per_chunk = max(1, _MAP_CHUNK // (lam.size * int(np.max(events - starts))))
-    for b0 in range(0, events.size, per_chunk):
-        ev = events[b0 : b0 + per_chunk]
-        st = starts[b0 : b0 + per_chunk]
-        M = _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, st[0], ev[-1])
-        Mb = _compose_blocks(M, st - st[0], ev - st)
-        Y = np.empty((ev.size,) + y.shape)
-        for b in range(ev.size):
-            y = _mv(Mb[b], y)
-            Y[b] = y
-        X = x_r + Y[..., 0] @ S.T
-        yield ev, X, X + Y[..., 1] @ S.T

@@ -418,11 +418,14 @@ def check_general(
     sigma: float,
     grid: np.ndarray,
     tolerance: float = CONDITION_TOLERANCE,
+    *,
+    sample: Optional[ScheduleSample] = None,
 ) -> ConditionReport:
     """Base admissibility conditions for the standard Lyapunov function:
-    `condition_slacks` with exp(pi) = 0."""
+    `condition_slacks` with exp(pi) = 0.  `sample` is `family.sample(grid)`
+    when the caller holds it already."""
     grid = np.asarray(grid, dtype=float)
-    s = family.sample(grid)
+    s = family.sample(grid) if sample is None else sample
     zero = np.zeros_like(grid)
     slacks = np.vstack(condition_slacks(dataclasses.replace(s, exp_pi=zero, exp_pi_dot=zero), sigma))
     return ConditionReport("general", GENERAL_ITEMS, grid, slacks, tolerance)
@@ -434,15 +437,18 @@ def check_general2(
     symmetric: bool,
     grid: np.ndarray,
     tolerance: float = CONDITION_TOLERANCE,
+    *,
+    sample: Optional[ScheduleSample] = None,
 ) -> ConditionReport:
     """Relaxed conditions available when the divergence is symmetric.
 
     With exp(pi) = 0 everywhere this reduces exactly to `check_general`; a
     positive exp(pi) is only licensed by a symmetric divergence, so passing
     symmetric=False with exp(pi) > 0 on the grid is a precondition error.
+    `sample` is as in `check_general`.
     """
     grid = np.asarray(grid, dtype=float)
-    s = family.sample(grid)
+    s = family.sample(grid) if sample is None else sample
     if np.any(s.exp_pi > 0) and not symmetric:
         raise PreconditionError(
             "schedule uses exp(pi) > 0, which requires a symmetric Bregman divergence"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import agflow.cli as cli
-from agflow import dynamics, lyapunov, problems
+from agflow import dynamics, lyapunov, problems, schedules
 from agflow.config import load_config
 from agflow.errors import ConfigurationError
 
@@ -202,6 +202,40 @@ def test_check_assumptions_slacks_csv_does_not_depend_on_writer_count(monkeypatc
     assert lines[0] == "t,slack1,slack2,slack3,slack4" and len(lines) == 2050
     assert slacks[2] == slacks[1]
     assert sorted(p.name for p in (tmp_path / "chk").iterdir()) == ["assumptions.json", "slacks.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-assumptions"])
+@pytest.mark.parametrize(
+    "condition, schedule",
+    [
+        ("general", "family = constant\nd = 2.0\nsigma = 1.0"),
+        ("general2", "family = polynomial\nc = 1.5"),
+    ],
+    ids=["general", "general2"],
+)
+def test_condition_report_samples_its_grid_once(
+    monkeypatch, tmp_path, command, condition, schedule
+):
+    text = (
+        QUAD_CFG.format(t_end=2.0, out=tmp_path / "o")
+        .replace("family = constant\nd = 2.0\nsigma = 1.0", schedule)
+        .replace("t0 = 0.0", "t0 = 1.0")
+        .replace("record_stride = 10", "record_stride = 10\ngrid_num = 777")
+    )
+    path = write_cfg(tmp_path, text)
+    sizes = []
+    sample = schedules.ScheduleFamily.sample
+    monkeypatch.setattr(
+        schedules.ScheduleFamily, "sample", lambda self, t: sizes.append(np.size(t)) or sample(self, t)
+    )
+    assert cli.main([command, "--config", path, "--quiet"]) == 0
+    assert sizes.count(777) == 1
+    out = tmp_path / "o"
+    if command == "simulate":
+        report = json.loads((out / "summary.json").read_text())["conditions"]
+    else:
+        report = json.loads((out / "assumptions.json").read_text())
+    assert report["condition"] == condition
 
 
 def _short_canonical_row():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics
+from agflow import dynamics, rk4, schedules
 from agflow.bregman import DistanceGenerator
 from agflow.dynamics import FlowState
 from agflow.errors import (
@@ -460,6 +460,66 @@ def test_composed_maps_match_stepping_loop():
         assert np.max(np.abs(V - V_ref)) <= 1e-11 * max(1.0, V_ref[0]), entry["label"]
         ref_fitted = ag.fit_rate(ref, entry["model"], entry["window"])
         assert verdicts(fast, entry, fitted) == verdicts(ref, entry, ref_fitted), entry["label"]
+
+
+def _spectrum(rng, n=64):
+    """Log-uniform eigenvalues in [1, 100]."""
+    return np.exp(rng.uniform(0.0, np.log(100.0), n))
+
+
+@pytest.mark.parametrize("spectrum", ["log_uniform", "flat_mode", "repeated", "three_distinct"])
+def test_node_maps_match_direct_step_maps(spectrum):
+    rng = np.random.default_rng(15)
+    lam = _spectrum(rng)
+    if spectrum == "flat_mode":
+        lam[7] = 0.0
+    elif spectrum == "repeated":
+        lam = rng.choice(lam[:6], lam.size)
+    elif spectrum == "three_distinct":
+        lam = rng.choice([1.0, 7.5, 100.0], lam.size)
+    cfg = ag.IntegratorConfig(t0=0.5, t_end=2.5, step=1e-2)
+    n_steps, tgrid = dynamics.half_step_grid(cfg)
+    ea, K, ema = schedules.flow_coefficients(ag.Hyperbolic(1.0).sample(tgrid))
+    direct = rk4._rk4_step_maps(ea, K, ema, lam, cfg.step, 0, n_steps)
+    nodes, W = rk4._map_nodes(lam)
+    assert nodes.size == min(3, len(set(lam.tolist())))
+    interpolated = rk4._rk4_step_maps(ea, K, ema, nodes, cfg.step, 0, n_steps) @ W.T
+    assert np.max(np.abs(interpolated - direct)) <= 1e-14 * np.max(np.abs(direct))
+    if spectrum == "three_distinct":  # each mode takes its own node's map
+        assert np.array_equal(interpolated, direct)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_composed_maps_match_stepping_loop_on_64_modes(stride):
+    # a dense Q, so the modes are not the coordinates
+    rng = np.random.default_rng(16)
+    lam = _spectrum(rng)
+    basis, _ = np.linalg.qr(rng.normal(size=(lam.size, lam.size)))
+    Q = (basis * lam) @ basis.T
+    spec = ag.quadratic(0.5 * (Q + Q.T), Q @ rng.uniform(-1.0, 1.0, lam.size))
+    family = ag.ConstantDamping(2.0, 1.0)
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=3.0, step=1e-2, record_stride=stride)
+    x0 = rng.uniform(-2.0, 2.0, lam.size)
+    fast = ag.integrate(spec.generator, spec.objective, family, cfg, x0)
+    f = dataclasses.replace(spec.objective, hessian=None)
+    ref = ag.integrate(spec.generator, f, family, cfg, x0)
+    assert fast.metadata["integrator"]["path"] == "composed_maps"
+    assert ref.metadata["integrator"]["path"] == "stepping_loop"
+    assert np.array_equal(ref.times, fast.times)
+    scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
+    assert np.max(np.abs(fast.states_x - ref.states_x)) <= 1e-11 * scale
+    assert np.max(np.abs(fast.states_z - ref.states_z)) <= 1e-11 * scale
+
+
+def test_walk_is_finite_where_the_step_by_step_walk_is():
+    # y = (1, 0) is a fixed point of every map [[1, 1], [0, 1e100]], while
+    # the maps' products overflow within four blocks
+    blocks = 16
+    M = np.broadcast_to(np.array([[1.0, 1.0], [0.0, 1e100]])[:, :, None, None], (2, 2, blocks, 1))
+    y = np.array([[1.0], [0.0]])
+    with np.errstate(all="ignore"):
+        Y = rk4._walk(M, np.arange(blocks), np.ones(blocks, dtype=int), y)
+    assert np.array_equal(Y, np.broadcast_to(y[:, None], (2, blocks, 1)))
 
 
 def test_undeclared_generator_hessian_takes_stepping_loop():

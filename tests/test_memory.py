@@ -1,6 +1,7 @@
-"""The transient memory of the diagnostics pass and of the table writers is
-set by their chunk sizes, not by the number of recorded samples; a schedule
-sample holds no more grid arrays than its family needs.
+"""The transient memory of the diagnostics pass, of the table writers and of
+the composed-maps walk is set by their chunk sizes, not by the number of
+recorded samples or steps; a schedule sample holds no more grid arrays than
+its family needs.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
@@ -12,14 +13,14 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics, lyapunov, schedules
+from agflow import dynamics, lyapunov, rk4, schedules
 
 M = 8 * lyapunov.ROW_CHUNK
 N = 64
 
 # Bytes: two (ROW_CHUNK, N) float64 temporaries at once.
 DIAGNOSTICS_BOUND = 2 * lyapunov.ROW_CHUNK * N * 8
-# Bytes: 1 MiB, 512 bytes for each of the about 2**11 values of a text chunk
+# Bytes: 1 MiB, 256 bytes for each of the about 2**12 values of a text chunk
 # (CSV: the formatter's arrays, about 160 bytes a value, and the chunk's text;
 # JSON: the float object, its list slot, and its share of the row strings).
 WRITER_BOUND = 128 * 2**13
@@ -113,3 +114,29 @@ def test_schedule_sample_holds_its_fields_only(family, arrays):
     standard, transient = _transient(schedules.is_standard_form, s)
     assert standard
     assert transient <= 2 * t.nbytes + OBJECT_SLACK, transient / t.nbytes
+
+
+def _walk_transient(n_steps):
+    """The transient of draining `_composed_maps` for an N-mode flow over
+    n_steps steps, every one an event, beyond the inputs it is handed."""
+    rng = np.random.default_rng(9)
+    lam = np.exp(rng.uniform(0.0, np.log(100.0), N))
+    spec = ag.quadratic(np.diag(lam), lam * rng.uniform(-1.0, 1.0, N))
+    x0 = rng.uniform(-2.0, 2.0, N)
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=n_steps * 1e-3, step=1e-3, record_stride=1)
+    _, tgrid = dynamics.half_step_grid(cfg)
+    ea, K, ema = schedules.flow_coefficients(ag.ConstantDamping(2.0, 1.0).sample(tgrid))
+    modes = dynamics._modal_form(spec.generator, spec.objective, x0)
+    events = np.arange(1, n_steps + 1)
+
+    def drain():
+        for block in rk4._composed_maps(modes, ea, K, ema, cfg.step, x0, x0, events):
+            del block
+
+    drain()  # first-use allocations (imports, caches) are not the walk's
+    return _transient(drain)[1]
+
+
+def test_composed_maps_walk_transient_does_not_grow_with_the_horizon():
+    short, long = _walk_transient(10_000), _walk_transient(40_000)
+    assert long <= short + OBJECT_SLACK, (short, long)

@@ -5,8 +5,9 @@ case writes out the flow's right-hand side here, from the schedule's sampled
 coefficients and closed-form gradients and Hessian solves; nothing of the
 integrator's own stage arithmetic is reused.  The stepping loop computes the
 same RK4 steps from precomputed stage coefficients, and the composed maps
-push basis states through those coefficients mode by mode, so each agrees
-with the oracle to round-off.
+push basis states through those coefficients at up to three eigenvalues and
+interpolate every mode's map from them, so each agrees with the oracle to
+round-off.
 """
 
 import dataclasses
@@ -150,6 +151,17 @@ def flat_quadratic_case():
     )
 
 
+def six_mode_case():
+    # six distinct eigenvalues: the step maps come from three nodes
+    q, b = np.array([1.0, 2.5, 4.0, 7.0, 10.0, 16.0]), np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+    spec = ag.quadratic(np.diag(q), b)
+    return integrate_case(
+        spec.generator, spec.objective, ag.Hyperbolic(1.0), (0.5, 2.5), np.ones(6),
+        np.linspace(-1.0, 1.0, 6), grad_h=lambda p: p, hessian_solve=euclidean,
+        grad_f=lambda t, x: q * x - b,
+    )
+
+
 # case -> (the integration path it must take, its builder)
 CASES = {
     "smoothed_l1": ("stepping_loop", smoothed_l1_case),
@@ -159,6 +171,7 @@ CASES = {
     "positive_pi": ("stepping_loop", positive_pi_case),
     "dense_generator": ("composed_maps", dense_generator_case),
     "flat_quadratic": ("composed_maps", flat_quadratic_case),
+    "six_modes": ("composed_maps", six_mode_case),
 }
 
 
