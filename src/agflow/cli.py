@@ -9,15 +9,16 @@ failed (including an unusable rate fit), 2 configuration or output error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import lyapunov, problems, smoothing
-from .config import ExperimentConfig, load_config
-from .dynamics import IntegratorConfig, integrate, write_table
+from . import lyapunov, smoothing
+from .config import SMOOTHING_DEFAULTS, ExperimentConfig, load_config
+from .dynamics import integrate, write_table
 from .errors import (
     ConfigurationError,
     FitError,
@@ -67,15 +68,15 @@ def _condition_report(family, sigma, grid, symmetric: bool):
 
 def _run_experiment(cfg: ExperimentConfig):
     """Build and integrate one configured run; returns (trajectory, spec, family)."""
-    spec = cfg.build_problem()
+    if cfg.smoothing is None:
+        spec = cfg.build_problem()
+    else:  # the approximation comes with its l1_denoise problem
+        approx, spec = smoothing.l1_denoise_approximation(cfg.problem_params["y"], cfg.problem_params["w"])
     family = cfg.build_family()
     icfg = cfg.build_integrator(family)
     x0, v0 = cfg.initial_point(spec.objective.dim)
 
     if cfg.smoothing is not None:
-        approx, spec = smoothing.l1_denoise_approximation(
-            cfg.problem_params["y"], cfg.problem_params["w"]
-        )
         mu_sched = smoothing.rate_preserving_mu(
             family, cfg.smoothing["epsilon"], cfg.smoothing["kind"]
         )
@@ -96,6 +97,8 @@ def _run_experiment(cfg: ExperimentConfig):
 
 
 def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
+    """The run's reports and its verdict; a smoothed run also certifies its
+    approximation on 10 000 samples drawn from `cfg.seed`."""
     mono = lyapunov.monotonicity_report(
         traj, tolerance=cfg.tol_mono_scale * max(1.0, traj.records.V[0])
     )
@@ -112,6 +115,10 @@ def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
         "conditions": conditions.to_dict(),
     }
     passed = mono.passed and bounds.passed and integrals.passed and conditions.passed
+    if isinstance(traj.variant, lyapunov.Smoothed):
+        cert = smoothing.certify_smooth_approx(traj.variant.approximation, 10_000, cfg.seed)
+        summary["certification"] = cert.to_dict()
+        passed = passed and cert.passed
     if cfg.fit is not None:
         window = cfg.fit.get("window")
         if window is None:
@@ -129,27 +136,29 @@ def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
     return summary
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
+def _run_command(name: str, cfg: ExperimentConfig, args, prefix: str = "") -> int:
+    """Run `cfg` under `--out` and `--seed`; write its outputs under `prefix`ed names."""
+    seed = cfg.seed if args.seed is None else args.seed
+    cfg = dataclasses.replace(cfg, out_dir=args.out or cfg.out_dir, seed=seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj, spec, family = _run_experiment(cfg)
     summary = _summarize(traj, cfg, family)
     summary["seed"] = cfg.seed
     if "csv" in cfg.formats:
-        traj.write_csv(out / "trajectory.csv")
+        traj.write_csv(out / f"{prefix}trajectory.csv")
     if "json" in cfg.formats:
-        traj.write_json(out / "trajectory.json")
-    _write_json(out / "summary.json", summary)
+        traj.write_json(out / f"{prefix}trajectory.json")
+    _write_json(out / f"{prefix}summary.json", summary)
     if not args.quiet:
         state = "pass" if summary["pass"] else "FAIL"
-        print(f"simulate: {spec.objective.name} under {family.describe()} -> {state}")
+        print(f"{name}: {spec.objective.name} under {family.describe()} -> {state}")
         print(f"outputs in {out}")
     return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE
+
+
+def cmd_simulate(args) -> int:
+    return _run_command("simulate", load_config(args.config), args)
 
 
 def cmd_check_assumptions(args) -> int:
@@ -173,16 +182,16 @@ def cmd_check_assumptions(args) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
-# One entry per `ScheduleFamily.certified_rate` model: the problem, start
-# point, horizon and fit window of its rows, and the share of the certified
-# exponent that a row's fitted rate must reach.
+# One entry per `ScheduleFamily.certified_rate` model: the (kind, params)
+# problem, start point, horizon and fit window of its rows, and the share of
+# the certified exponent that a row's fitted rate must reach.
 _MODEL_RUNS = {
     "exponential": dict(
-        problem=lambda: problems.quadratic(np.diag([1.0, 4.0]), np.zeros(2)),
+        problem=("quadratic", {"Q": np.diag([1.0, 4.0]), "b": np.zeros(2)}),
         x0=(1.0, 1.0), t_end=20.0, window=(10.0, 20.0), share=0.95,
     ),
     "polynomial": dict(
-        problem=lambda: problems.flat_quadratic(np.array([[1.0, 1.0]]), np.array([2.0])),
+        problem=("flat_quadratic", {"A": np.array([[1.0, 1.0]]), "b": np.array([2.0])}),
         x0=(2.0, 1.0), t_end=100.0, window=(10.0, 100.0), share=0.9,
     ),
 }
@@ -212,11 +221,21 @@ def canonical_grid() -> list:
     return rows
 
 
-def run_canonical(entry: dict, step: float = 1e-3, record_stride: int = 10):
-    """Integrate one canonical row; returns (trajectory, fitted_rate)."""
-    spec = entry["problem"]()
-    icfg = IntegratorConfig(entry["t0"], entry["t_end"], step, record_stride)
-    traj = integrate(spec.generator, spec.objective, entry["family"], icfg, np.array(entry["x0"]))
+def _canonical_config(entry: dict, **integrator) -> ExperimentConfig:
+    """One canonical row's run; `integrator` overrides `step` and `record_stride`."""
+    kind, params = entry["problem"]
+    family = entry["family"].describe()
+    fit = {k: entry[k] for k in ("model", "window", "predicted", "required")}
+    return ExperimentConfig(
+        problem_kind=kind, problem_params=params, family_kind=family.pop("family"),
+        family_params=family, t0=entry["t0"], t_end=entry["t_end"], x0=np.array(entry["x0"]),
+        fit=fit, **integrator,
+    )
+
+
+def run_canonical(entry: dict, **integrator):
+    """Integrate one canonical row (`_canonical_config`); returns (trajectory, fitted_rate)."""
+    traj = _run_experiment(_canonical_config(entry, **integrator))[0]
     return traj, lyapunov.fit_rate(traj, entry["model"], entry["window"])
 
 
@@ -225,29 +244,18 @@ def cmd_reproduce_table(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for entry in canonical_grid():
-        traj, fitted = run_canonical(entry)
-        mono = lyapunov.monotonicity_report(traj)
-        bounds = lyapunov.bound_check(traj)
-        integrals = lyapunov.integral_estimates(traj)
-        ok = fitted.rate >= entry["required"] and all(r.passed for r in (mono, bounds, integrals))
-        rows.append(
-            {
-                "label": entry["label"],
-                "model": entry["model"],
-                "predicted": entry["predicted"],
-                "fitted": fitted.rate,
-                "required": entry["required"],
-                "passed": bool(ok),
-                "monotone": mono.to_dict(),
-                "bounds": bounds.to_dict(),
-                "integrals": integrals.to_dict(),
-            }
-        )
+        cfg = _canonical_config(entry)
+        traj, _, family = _run_experiment(cfg)
+        row = _summarize(traj, cfg, family)
+        del row["metadata"]
+        row.update({k: entry[k] for k in ("label", "model", "predicted", "required")})
+        row.update(fitted=row["fit"]["rate"], passed=row.pop("pass"))
+        rows.append(row)
         if not args.quiet:
             print(
-                f"{entry['label']}: fitted {fitted.rate:.4f} "
-                f"(predicted {entry['predicted']:.4f}, required {entry['required']:.4f}) "
-                f"{'pass' if ok else 'FAIL'}"
+                f"{row['label']}: fitted {row['fitted']:.4f} "
+                f"(predicted {row['predicted']:.4f}, required {row['required']:.4f}) "
+                f"{'pass' if row['passed'] else 'FAIL'}"
             )
     all_ok = all(r["passed"] for r in rows)
     table = lyapunov.render_rate_table(rows)
@@ -259,35 +267,17 @@ def cmd_reproduce_table(args) -> int:
     return EXIT_PASS if all_ok else EXIT_CHECK_FAILURE
 
 
+# smooth-demo's run (README gives it as a config file); the horizon is chosen
+# so the step resolves the smoothed curvature w/mu(t_end)
+_SMOOTH_DEMO = ExperimentConfig(
+    problem_kind="l1_denoise", problem_params={"y": np.array([2.0, 0.1]), "w": 1.0},
+    family_kind="hyperbolic", family_params={"sigma": 0.0}, t0=1.0, t_end=14.0,
+    x0=np.zeros(2), smoothing=SMOOTHING_DEFAULTS, formats=("csv",),
+)
+
+
 def cmd_smooth_demo(args) -> int:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    y = np.array([2.0, 0.1])
-    w = 1.0
-    epsilon = 0.5
-    approx, spec = smoothing.l1_denoise_approximation(y, w)
-    family = Hyperbolic(0.0)
-    # horizon chosen so the step resolves the smoothed curvature w/mu(t_end)
-    mu_sched = smoothing.rate_preserving_mu(family, epsilon, "exponential")
-    icfg = IntegratorConfig(t0=1.0, t_end=14.0, step=1e-3, record_stride=10)
-    traj = smoothing.smoothed_flow(
-        spec.generator, approx, family, mu_sched, icfg, np.zeros(2)
-    )
-    cert = smoothing.certify_smooth_approx(approx, num_samples=10_000, seed=args.seed or 0)
-    mono = lyapunov.monotonicity_report(traj)
-    bounds = lyapunov.bound_check(traj)
-    summary = {
-        "metadata": traj.metadata,
-        "certification": cert.to_dict(),
-        "monotonicity": mono.to_dict(),
-        "bounds": bounds.to_dict(),
-        "pass": bool(cert.passed and mono.passed and bounds.passed),
-    }
-    traj.write_csv(out / "smooth_trajectory.csv")
-    _write_json(out / "smooth_summary.json", summary)
-    if not args.quiet:
-        print(f"smooth-demo: {'pass' if summary['pass'] else 'FAIL'}; outputs in {out}")
-    return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE
+    return _run_command("smooth-demo", _SMOOTH_DEMO, args, prefix="smooth_")
 
 
 def build_parser() -> argparse.ArgumentParser:

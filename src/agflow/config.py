@@ -26,6 +26,8 @@ FAMILIES = {cls.name: cls for cls in (ConstantDamping, Hyperbolic, PolynomialDam
 VARIANT_KINDS = ("auto", "standard", "symmetric")
 FIT_MODELS = ("exponential", "polynomial")
 OUTPUT_FORMATS = ("csv", "json")
+# [smoothing]'s keys where the section leaves them out
+SMOOTHING_DEFAULTS = {"approximation": "huber_l1", "kind": "exponential", "epsilon": 0.5}
 
 
 def _parse_vector(raw: str, where: str) -> np.ndarray:
@@ -50,29 +52,33 @@ def _parse_matrix(raw: str, where: str) -> np.ndarray:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; `build_*` construct the live objects."""
+    """Validated experiment description; `build_*` construct the live objects.
+
+    The field defaults are the config file's defaults: `load_config` reads
+    them from here for every key a file leaves out.
+    """
 
     problem_kind: str
     problem_params: dict
     family_kind: str
     family_params: dict
-    nu_dot_factor: float
-    t0: Optional[float]
     t_end: float
-    step: float
-    record_stride: int
-    variant: str
-    tol_mono_scale: float
-    bound_rel_tol: float
-    integral_rel_tol: float
-    x0: Optional[np.ndarray]
-    v0: Optional[np.ndarray]
-    fit: Optional[dict]
-    smoothing: Optional[dict]
-    out_dir: str
-    formats: tuple
-    seed: int
+    nu_dot_factor: float = 1.0
+    t0: Optional[float] = None
+    step: float = IntegratorConfig.step
+    record_stride: int = IntegratorConfig.record_stride
     grid_num: int = 1001
+    variant: str = "auto"
+    tol_mono_scale: float = 1e-8
+    bound_rel_tol: float = 1e-6
+    integral_rel_tol: float = 1e-3
+    x0: Optional[np.ndarray] = None
+    v0: Optional[np.ndarray] = None
+    fit: Optional[dict] = None
+    smoothing: Optional[dict] = None
+    out_dir: str = "out"
+    formats: tuple = OUTPUT_FORMATS
+    seed: int = 0
 
     def build_problem(self) -> problems.ProblemSpec:
         p = self.problem_params
@@ -183,38 +189,33 @@ def load_config(path: str) -> ExperimentConfig:
     fparams = {
         p: get_float("schedule", p.lower(), required=True) for p in FAMILIES[family_kind].params
     }
-    nu_dot_factor = get_float("schedule", "nu_dot_factor", default=1.0)
+    # ExperimentConfig's class attributes are its field defaults
+    default = ExperimentConfig
+    nu_dot_factor = get_float("schedule", "nu_dot_factor", default=default.nu_dot_factor)
 
     need("integrator")
     t_end = get_float("integrator", "t_end", required=True)
-    step = get_float("integrator", "step", default=1e-3)
+    step = get_float("integrator", "step", default=default.step)
     if step <= 0:
         raise ConfigurationError("[integrator].step must be positive")
-    record_stride = get_int("integrator", "record_stride", 10)
+    record_stride = get_int("integrator", "record_stride", default.record_stride)
     if record_stride < 1:
         raise ConfigurationError("[integrator].record_stride must be >= 1")
-    t0 = get_float("integrator", "t0", default=None)
+    t0 = get_float("integrator", "t0", default=default.t0)
+    grid_num = get_int("integrator", "grid_num", default.grid_num)
 
-    variant = "auto"
-    tol_mono_scale = 1e-8
-    bound_rel_tol = 1e-6
-    integral_rel_tol = 1e-3
-    if parser.has_section("lyapunov"):
-        variant = parser["lyapunov"].get("variant", "auto").strip()
-        if variant not in VARIANT_KINDS:
-            raise ConfigurationError(
-                f"[lyapunov].variant must be one of {VARIANT_KINDS}, got {variant!r}"
-            )
-        tol_mono_scale = get_float("lyapunov", "tol_mono_scale", default=1e-8)
-        bound_rel_tol = get_float("lyapunov", "bound_rel_tol", default=1e-6)
-        integral_rel_tol = get_float("lyapunov", "integral_rel_tol", default=1e-3)
-        for label, v in (
-            ("tol_mono_scale", tol_mono_scale),
-            ("bound_rel_tol", bound_rel_tol),
-            ("integral_rel_tol", integral_rel_tol),
-        ):
-            if v <= 0:
-                raise ConfigurationError(f"[lyapunov].{label} must be positive")
+    variant = parser.get("lyapunov", "variant", fallback=default.variant).strip()
+    if variant not in VARIANT_KINDS:
+        raise ConfigurationError(
+            f"[lyapunov].variant must be one of {VARIANT_KINDS}, got {variant!r}"
+        )
+    tolerances = {
+        key: get_float("lyapunov", key, default=getattr(default, key))
+        for key in ("tol_mono_scale", "bound_rel_tol", "integral_rel_tol")
+    }
+    for key, v in tolerances.items():
+        if v <= 0:
+            raise ConfigurationError(f"[lyapunov].{key} must be positive")
 
     x0 = v0 = None
     if parser.has_section("initial"):
@@ -239,15 +240,16 @@ def load_config(path: str) -> ExperimentConfig:
 
     smoothing = None
     if parser.has_section("smoothing"):
-        approx = parser["smoothing"].get("approximation", "huber_l1").strip()
+        section = parser["smoothing"]
+        approx = section.get("approximation", SMOOTHING_DEFAULTS["approximation"]).strip()
         if approx != "huber_l1":
             raise ConfigurationError(
                 f"[smoothing].approximation: only 'huber_l1' is shipped, got {approx!r}"
             )
-        kind_s = parser["smoothing"].get("kind", "exponential").strip()
+        kind_s = section.get("kind", SMOOTHING_DEFAULTS["kind"]).strip()
         if kind_s not in ("exponential", "polynomial"):
             raise ConfigurationError("[smoothing].kind must be exponential or polynomial")
-        eps = get_float("smoothing", "epsilon", default=0.5)
+        eps = get_float("smoothing", "epsilon", default=SMOOTHING_DEFAULTS["epsilon"])
         if eps <= 0:
             raise ConfigurationError("[smoothing].epsilon must be positive")
         smoothing = {"approximation": approx, "kind": kind_s, "epsilon": eps}
@@ -256,42 +258,32 @@ def load_config(path: str) -> ExperimentConfig:
                 "[smoothing] is only supported with the l1_denoise problem"
             )
 
-    out_dir = "out"
-    formats = ("csv", "json")
-    if parser.has_section("output"):
-        out_dir = parser["output"].get("directory", "out").strip()
-        if "formats" in parser["output"]:
-            fmts = tuple(parser["output"]["formats"].split())
-            for f in fmts:
-                if f not in OUTPUT_FORMATS:
-                    raise ConfigurationError(f"[output].formats: unknown format {f!r}")
-            formats = fmts
-
-    seed = 0
-    if parser.has_section("experiment"):
-        seed = get_int("experiment", "seed", 0)
-    grid_num = get_int("integrator", "grid_num", 1001)
+    out_dir = parser.get("output", "directory", fallback=default.out_dir).strip()
+    formats = default.formats
+    if parser.has_option("output", "formats"):
+        formats = tuple(parser["output"]["formats"].split())
+        for f in formats:
+            if f not in OUTPUT_FORMATS:
+                raise ConfigurationError(f"[output].formats: unknown format {f!r}")
 
     return ExperimentConfig(
         problem_kind=kind,
         problem_params=params,
         family_kind=family_kind,
         family_params=fparams,
+        t_end=t_end,
         nu_dot_factor=nu_dot_factor,
         t0=t0,
-        t_end=t_end,
         step=step,
         record_stride=record_stride,
+        grid_num=grid_num,
         variant=variant,
-        tol_mono_scale=tol_mono_scale,
-        bound_rel_tol=bound_rel_tol,
-        integral_rel_tol=integral_rel_tol,
+        **tolerances,
         x0=x0,
         v0=v0,
         fit=fit,
         smoothing=smoothing,
         out_dir=out_dir,
         formats=formats,
-        seed=seed,
-        grid_num=grid_num,
+        seed=get_int("experiment", "seed", default.seed),
     )

@@ -126,6 +126,25 @@ def huber_l1(weights) -> SmoothApproximation:
     )
 
 
+def _smooth_part_alpha(
+    smooth: Objective, mu_max: float = 1.0, l_smooth: Optional[float] = None
+) -> float:
+    """L * mu_max, what a smooth term with L-Lipschitz gradient adds to alpha_s
+    for mu <= mu_max.  L is the largest eigenvalue of `smooth.hessian` where
+    that is declared, `l_smooth` otherwise."""
+    if mu_max <= 0:
+        raise ConfigurationError("mu_max must be positive")
+    if (smooth.hessian is None) == (l_smooth is None):
+        raise ConfigurationError(
+            "give l_smooth exactly when the smooth part declares no constant Hessian"
+        )
+    if smooth.hessian is not None:
+        l_smooth = float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1])
+    elif not l_smooth >= 0:
+        raise ConfigurationError("l_smooth must be nonnegative")
+    return l_smooth * mu_max
+
+
 def add_smooth_part(
     a: SmoothApproximation,
     smooth: Objective,
@@ -137,25 +156,13 @@ def add_smooth_part(
 
     The sandwich and the d/d mu band carry over unchanged.  If the smooth
     part's gradient is L-Lipschitz, the sum is (alpha_s + L mu_max)/mu-smooth
-    for every mu <= mu_max, so alpha_s grows by L * mu_max.  L is the largest
-    eigenvalue of `smooth.hessian` when that is declared; otherwise it must be
-    passed as `l_smooth`.
+    for every mu <= mu_max, so alpha_s grows by L * mu_max (`_smooth_part_alpha`).
     """
-    if mu_max <= 0:
-        raise ConfigurationError("mu_max must be positive")
-    if (smooth.hessian is None) == (l_smooth is None):
-        raise ConfigurationError(
-            "give l_smooth exactly when the smooth part declares no constant Hessian"
-        )
-    if smooth.hessian is not None:
-        l_smooth = float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1])
-    elif not l_smooth >= 0:
-        raise ConfigurationError("l_smooth must be nonnegative")
     return SmoothApproximation(
         value=lambda x, mu: smooth.value(x) + a.value(x, mu),
         grad_x=lambda x, mu: smooth.gradient(x) + a.grad_x(x, mu),
         grad_mu=a.grad_mu,
-        alpha_s=a.alpha_s + l_smooth * mu_max,
+        alpha_s=a.alpha_s + _smooth_part_alpha(smooth, mu_max, l_smooth),
         beta_s=a.beta_s,
         base=combined_base,
         name=f"{a.name}+{smooth.name}",
@@ -365,15 +372,16 @@ def with_exact_smooth_objective(f: Objective, beta_s: float = 1.0) -> SmoothAppr
     """Wrap a smooth objective as its own approximation (f~ = f, grad_mu = 0).
 
     Satisfies the band trivially; with mu -> 0 the smoothed Lyapunov value
-    reduces to the standard one.
+    reduces to the standard one.  alpha_s follows `add_smooth_part`'s rule at
+    mu_max = 1: L, the largest eigenvalue of the declared `f.hessian`.
     """
-    if not f.smooth:
-        raise ConfigurationError("objective must be smooth")
+    if not f.smooth or f.hessian is None:
+        raise ConfigurationError("objective must be smooth and declare a constant Hessian")
     return SmoothApproximation(
         value=lambda x, mu: f.value(x),
         grad_x=lambda x, mu: f.gradient(x),
         grad_mu=lambda x, mu: np.zeros(np.shape(x)[:-1]),
-        alpha_s=1.0,
+        alpha_s=_smooth_part_alpha(f),
         beta_s=beta_s,
         base=f,
         name=f"exact({f.name})",

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import agflow.cli as cli
 from agflow import dynamics, lyapunov, problems, schedules
-from agflow.config import load_config
+from agflow.config import ExperimentConfig, load_config
 from agflow.errors import ConfigurationError
 
 QUAD_CFG = """
@@ -253,18 +254,20 @@ def test_reproduce_table_plumbing(monkeypatch, tmp_path):
     assert "constant D=2 sigma=1" in table
     payload = json.loads((tmp_path / "rate_table.json").read_text())
     assert payload["pass"] is True
-    assert payload["rows"][0]["monotone"]["passed"] is True
+    assert payload["rows"][0]["monotonicity"]["passed"] is True
 
 
 @pytest.mark.parametrize(
     "report, key",
-    [("monotonicity_report", "monotone"), ("bound_check", "bounds"), ("integral_estimates", "integrals")],
+    [("monotonicity_report", "monotonicity"), ("bound_check", "bounds"), ("integral_estimates", "integrals")],
 )
 def test_reproduce_table_row_fails_on_a_failing_report(monkeypatch, tmp_path, report, key):
     row = _short_canonical_row()
     monkeypatch.setattr(cli, "canonical_grid", lambda: [row])
     shipped = getattr(lyapunov, report)
-    monkeypatch.setattr(lyapunov, report, lambda traj: dataclasses.replace(shipped(traj), passed=False))
+    monkeypatch.setattr(
+        lyapunov, report, lambda traj, **kw: dataclasses.replace(shipped(traj, **kw), passed=False)
+    )
     assert cli.main(["reproduce-table", "--out", str(tmp_path), "--quiet"]) == cli.EXIT_CHECK_FAILURE
     payload = json.loads((tmp_path / "rate_table.json").read_text())
     [out] = payload["rows"]
@@ -279,6 +282,105 @@ def test_smooth_demo(tmp_path):
     assert summary["pass"] is True
     assert summary["certification"]["passed"] is True
     assert summary["metadata"]["integrator"]["path"] == "stepping_loop"
+
+
+# smooth-demo's run written out as a config file (README, "CLI"); every key
+# it leaves out takes ExperimentConfig's default
+SMOOTH_DEMO_CFG = """
+[problem]
+kind = l1_denoise
+y = 2 0.1
+w = 1
+
+[schedule]
+family = hyperbolic
+sigma = 0
+
+[integrator]
+t0 = 1
+t_end = 14
+
+[initial]
+x0 = 0 0
+
+[smoothing]
+
+[output]
+directory = {out}
+formats = csv
+"""
+
+
+def test_simulate_on_the_smooth_demo_config_is_smooth_demo(monkeypatch, tmp_path):
+    built = []
+    shipped = problems.l1_denoise
+    monkeypatch.setattr(problems, "l1_denoise", lambda y, w: built.append(w) or shipped(y, w))
+    path = write_cfg(tmp_path, SMOOTH_DEMO_CFG.format(out=tmp_path / "sim"))
+    assert cli.main(["simulate", "--config", path, "--quiet"]) == 0
+    assert cli.main(["smooth-demo", "--out", str(tmp_path / "demo"), "--quiet"]) == 0
+    assert len(built) == 2  # one l1_denoise problem per run
+    sim, demo = tmp_path / "sim", tmp_path / "demo"
+    assert sorted(p.name for p in sim.iterdir()) == ["summary.json", "trajectory.csv"]
+    assert (sim / "trajectory.csv").read_bytes() == (demo / "smooth_trajectory.csv").read_bytes()
+    summary = json.loads((sim / "summary.json").read_text())
+    assert summary == json.loads((demo / "smooth_summary.json").read_text())
+    assert summary["certification"]["seed"] == 0
+
+    # the certificate draws its samples from --seed
+    assert cli.main(["simulate", "--config", path, "--seed", "5", "--quiet"]) == 0
+    reseeded = json.loads((sim / "summary.json").read_text())
+    assert reseeded["seed"] == reseeded["certification"]["seed"] == 5
+    assert reseeded["certification"]["passed"] is True
+    assert reseeded["monotonicity"] == summary["monotonicity"]
+
+
+def test_load_config_defaults_are_experiment_config_defaults(tmp_path):
+    text = "[problem]\nkind = quadratic\nq_diag = 1\n[schedule]\nfamily = hyperbolic\n"
+    text += "sigma = 1\n[integrator]\nt_end = 2\n"
+    cfg = load_config(write_cfg(tmp_path, text))
+    defaults = [f for f in dataclasses.fields(ExperimentConfig) if f.default is not dataclasses.MISSING]
+    assert len(defaults) == 16
+    for field in defaults:
+        assert getattr(cfg, field.name) == field.default, field.name
+
+
+def test_default_tolerances_are_the_reports_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(lyapunov.bound_check, "rel_tolerance") == ExperimentConfig.bound_rel_tol
+    assert default(lyapunov.integral_estimates, "rel_tolerance") == ExperimentConfig.integral_rel_tol
+    # monotonicity_report's default is tol_mono_scale * max(1, V(t0)), as in `_summarize`
+    spec = problems.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
+    family = schedules.ConstantDamping(2.0, 1.0)
+    V0s = []
+    for x0 in (0.1, 10.0):
+        traj = dynamics.integrate(
+            spec.generator, spec.objective, family, dynamics.IntegratorConfig(0.0, 1.0), np.full(2, x0)
+        )
+        V0s.append(traj.records.V[0])
+        tolerance = ExperimentConfig.tol_mono_scale * max(1.0, V0s[-1])
+        assert lyapunov.monotonicity_report(traj).tolerance == tolerance
+    assert V0s[0] < 1.0 < V0s[1]
+
+
+def test_every_summary_carries_the_same_reports(tmp_path):
+    def reports(summary):
+        return {k for k, v in summary.items() if isinstance(v, dict) and "passed" in v}
+
+    shared = {"monotonicity", "bounds", "integrals", "conditions"}
+    path = write_cfg(tmp_path, QUAD_CFG.format(t_end=2.0, out=tmp_path / "sim"))
+    assert cli.main(["simulate", "--config", path, "--quiet"]) == 0
+    assert cli.main(["smooth-demo", "--out", str(tmp_path / "demo"), "--quiet"]) == 0
+    assert cli.main(["reproduce-table", "--out", str(tmp_path / "table"), "--quiet"]) == 0
+    assert reports(json.loads((tmp_path / "sim" / "summary.json").read_text())) == shared
+    demo = json.loads((tmp_path / "demo" / "smooth_summary.json").read_text())
+    assert reports(demo) == shared | {"certification"}
+    rows = json.loads((tmp_path / "table" / "rate_table.json").read_text())["rows"]
+    assert len(rows) == 8
+    for row in rows:
+        assert reports(row) == shared, row["label"]
+        assert row["fit"]["meets_required"] is row["passed"] is True
 
 
 @pytest.mark.parametrize("command", ["check-assumptions", "reproduce-table"])

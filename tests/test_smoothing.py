@@ -81,6 +81,18 @@ def test_smooth_objective_as_own_approximation_passes():
     assert rep.max_band_violation <= 0.0
 
 
+def test_exact_approximation_takes_alpha_s_from_the_hessian():
+    # L = 4: alpha_s = 1 would fail the smoothness ratio by a factor of about 3.9
+    f = ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2)).objective
+    a = ag.with_exact_smooth_objective(f)
+    assert a.alpha_s == 4.0
+    rep = ag.certify_smooth_approx(a, num_samples=2000, seed=0)
+    assert rep.passed and rep.max_smoothness_ratio <= 1.0
+    assert ag.with_exact_smooth_objective(ag.quadratic(np.eye(2), np.zeros(2)).objective).alpha_s == 1.0
+    with pytest.raises(ConfigurationError, match="Hessian"):
+        ag.with_exact_smooth_objective(dataclasses.replace(f, hessian=None))
+
+
 def test_sandwich_and_band_on_many_samples():
     approx, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
     rep = ag.certify_smooth_approx(approx, num_samples=10_000, seed=11)
