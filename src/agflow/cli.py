@@ -68,31 +68,17 @@ def _condition_report(family, sigma, grid, symmetric: bool):
 
 def _run_experiment(cfg: ExperimentConfig):
     """Build and integrate one configured run; returns (trajectory, spec, family)."""
+    family = cfg.build_family()
     if cfg.smoothing is None:
         spec = cfg.build_problem()
+        variant = {"standard": lyapunov.Standard(), "symmetric": lyapunov.Symmetric()}.get(cfg.variant)
     else:  # the approximation comes with its l1_denoise problem
         approx, spec = smoothing.l1_denoise_approximation(cfg.problem_params["y"], cfg.problem_params["w"])
-    family = cfg.build_family()
+        mu_sched = smoothing.rate_preserving_mu(family, cfg.smoothing["epsilon"], cfg.smoothing["kind"])
+        variant = lyapunov.Smoothed(approx, mu_sched)
     icfg = cfg.build_integrator(family)
     x0, v0 = cfg.initial_point(spec.objective.dim)
-
-    if cfg.smoothing is not None:
-        mu_sched = smoothing.rate_preserving_mu(
-            family, cfg.smoothing["epsilon"], cfg.smoothing["kind"]
-        )
-        traj = smoothing.smoothed_flow(
-            spec.generator, approx, family, mu_sched, icfg, x0, v0
-        )
-        return traj, spec, family
-
-    variant = None
-    if cfg.variant == "standard":
-        variant = lyapunov.Standard()
-    elif cfg.variant == "symmetric":
-        variant = lyapunov.Symmetric()
-    traj = integrate(
-        spec.generator, spec.objective, family, icfg, x0, v0, variant=variant
-    )
+    traj = integrate(spec.generator, spec.objective, family, icfg, x0, v0, variant=variant)
     return traj, spec, family
 
 

@@ -253,10 +253,15 @@ def load_config(path: str) -> ExperimentConfig:
         if eps <= 0:
             raise ConfigurationError("[smoothing].epsilon must be positive")
         smoothing = {"approximation": approx, "kind": kind_s, "epsilon": eps}
-        if kind == "quadratic" or kind == "flat_quadratic":
+        if variant != "auto":
             raise ConfigurationError(
-                "[smoothing] is only supported with the l1_denoise problem"
+                f"[lyapunov].variant = {variant} cannot go with [smoothing], whose run "
+                "certifies the smoothed variant; leave variant out or set it to auto"
             )
+    if (smoothing is None) == (kind == "l1_denoise"):
+        raise ConfigurationError(
+            "the l1_denoise problem is nonsmooth and needs a [smoothing] section; no other problem takes one"
+        )
 
     out_dir = parser.get("output", "directory", fallback=default.out_dir).strip()
     formats = default.formats

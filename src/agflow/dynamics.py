@@ -18,8 +18,8 @@ point and the step update are then linear in d and the stages' forcings, with
 coefficients that depend only on the half-step grid, built ahead per chunk of
 steps (`rk4._rk4_stage_coefficients`).  The stepping loop (the
 "stepping_loop" path) evaluates four forcings per step and applies them.
-When f and h both declare constant Hessians (and no gradient override is
-given), the flow measured from its rest point splits into 2x2 modes with
+When f and h both declare constant Hessians (and no smoothed gradient drives
+the flow), the flow measured from its rest point splits into 2x2 modes with
 F = -e^(alpha - eta) lam u, so each step is a linear map per mode, built from
 the same coefficients, and `rk4._composed_maps` walks the maps (the
 "composed_maps" path).
@@ -358,8 +358,10 @@ def integrate(
 
     The horizon is snapped to a whole number of steps.  `variant` defaults to
     the symmetric Lyapunov function when the schedule carries exp(pi) > 0 (and
-    h is symmetric), the standard one otherwise.  The certificates use the
-    family's sigma, falling back to the objective's.
+    h is symmetric), the standard one otherwise; an f that is not smooth
+    needs a `lyapunov.Smoothed` variant (see `_integrate_core`).  The
+    certificates use the family's sigma, falling back to the objective's
+    (to 0 for a smoothed run).
     """
     return _integrate_core(h, f, family, config, x0, v0, variant=variant)
 
@@ -382,19 +384,15 @@ def _integrate_core(
     x0: Vector,
     v0: Optional[Vector],
     variant=None,
-    sigma: Optional[float] = None,
-    gradient_override: Optional[Callable[[Vector, int], Vector]] = None,
-    extra_metadata: Optional[dict] = None,
-    mu_grid: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """The integrator behind `integrate` and `smoothed_flow`.
 
-    `gradient_override(x, j)`, if given, replaces grad f at half-step grid
-    point j (see `half_step_grid`) and forces the stepping loop.  The
-    trajectory's `gradient_of(x, t)` is grad f; a caller that overrides the
-    gradient attaches its own time form.  `mu_grid`, the smoothing parameter
-    on the half-step grid, gives the Smoothed variant's diagnostics their mu.
-    `sigma` defaults to `family.sigma`, falling back to `f.sigma`.
+    A `lyapunov.Smoothed(a, mu)` variant is the smoothed run of a, whose base
+    must be f: mu is evaluated once on the half-step grid (`half_step_grid`,
+    `SmoothingSchedule.on_grid`), the flow is driven by a.grad_x(x, mu), or
+    by grad f where a is exact, and the diagnostics read mu at the recorded
+    points.  sigma is `family.sigma`, falling back to `f.sigma` (to 0 when
+    smoothed).  `gradient_of(x, t)` is the gradient that drives the flow.
     `v0` defaults to zero; `x0` and `v0` must have shape (h.dim,).
     """
     x0 = np.asarray(x0, dtype=float)
@@ -405,6 +403,11 @@ def _integrate_core(
         raise TimeDomainError(
             f"t0 = {config.t0:g} is below the admissible start {family.t_min:g} of {family.name}"
         )
+    smoothed = isinstance(variant, lyapunov.Smoothed)
+    if smoothed and variant.approximation.base is not f:
+        raise ConfigurationError("a Smoothed variant's approximation must have f as its base")
+    if not (smoothed or f.smooth):
+        raise ConfigurationError(f"objective {f.name} is not smooth; integrate it under a Smoothed variant")
     warned = _stability_check(family, config.t0, config.step)
 
     n_steps, tgrid = half_step_grid(config)
@@ -416,12 +419,19 @@ def _integrate_core(
     ea_g, K_g, ema_g = flow_coefficients(sg)
 
     base_grad = f.gradient
-    grad = gradient_override
-    if grad is None:
-        grad = lambda x, j: base_grad(x)  # noqa: E731
-
+    grad = lambda x, j: base_grad(x)  # noqa: E731
+    gradient_of = lambda x, t: base_grad(x)  # noqa: E731
+    if smoothed:
+        a, mu_sched = variant.approximation, variant.mu_schedule
+        mu_g = mu_sched.on_grid(tgrid)
+        # an exact approximation drives the flow with f's own gradient, so the
+        # run takes the same integration path as the unsmoothed flow of f
+        if not a.exact:
+            grad = lambda x, j: a.grad_x(x, mu_g[j])  # noqa: E731
+        gradient_of = lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))  # noqa: E731
+    sigma = family.sigma
     if sigma is None:
-        sigma = f.sigma if family.sigma is None else family.sigma
+        sigma = 0.0 if smoothed else f.sigma
 
     if variant is None:
         uses_pi = bool(np.any(sg.exp_pi > 0))
@@ -446,7 +456,7 @@ def _integrate_core(
     events = np.array(
         sorted({*range(check_every, n_steps, check_every), *range(stride, n_steps, stride), n_steps})
     )
-    modes = None if gradient_override is not None else _modal_form(h, f, x)
+    modes = None if smoothed and not a.exact else _modal_form(h, f, x)
     if modes is None:
         path = "stepping_loop"
         grad_evals = 4 * n_steps
@@ -479,16 +489,7 @@ def _integrate_core(
     # holds none of it)
     del tgrid, sg, ea_g, K_g, ema_g
     diag = lyapunov.record_diagnostics(
-        variant,
-        h,
-        f,
-        s_rec,
-        xs,
-        zs,
-        xstar,
-        fstar,
-        sigma,
-        mu=None if mu_grid is None else mu_grid[grid_idx],
+        variant, h, f, s_rec, xs, zs, xstar, fstar, sigma, mu=mu_g[grid_idx] if smoothed else None
     )
 
     metadata = {
@@ -513,8 +514,8 @@ def _integrate_core(
         "V0": float(diag.V[0]),
         "standard_form": standard_form,
     }
-    if extra_metadata:
-        metadata.update(extra_metadata)
+    if smoothed:
+        metadata["smoothing"] = {"approximation": a.name, "mu": mu_sched.description}
 
     return Trajectory(
         times=config.t0 + rec_steps * hstep,
@@ -526,7 +527,7 @@ def _integrate_core(
         f=f,
         family=family,
         variant=variant,
-        gradient_of=lambda x, t: base_grad(x),
+        gradient_of=gradient_of,
     )
 
 

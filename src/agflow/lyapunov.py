@@ -37,11 +37,12 @@ class Symmetric:
 
 @dataclass(frozen=True)
 class Smoothed:
-    """Smoothed-objective V; the budget term beta_s * int(nu_dot e^nu mu)
-    is the only allowed growth."""
+    """Smoothed-objective V, and the whole description of a smoothed run:
+    the integrator drives the flow with the approximation's gradient under
+    mu(t).  The budget term beta_s * int(nu_dot e^nu mu), with the
+    approximation's beta_s, is the only allowed growth."""
 
     approximation: object  # smoothing.SmoothApproximation
-    beta_s: float
     mu_schedule: object  # smoothing.SmoothingSchedule
 
     name = "smoothed"
@@ -109,7 +110,7 @@ def _energy(variant, h: DistanceGenerator, s: ScheduleSample, x, xstar, d_xstar_
         rows = np.shape(x)[:-1]
         gap = (
             row_values("approximation.value", a.value(x, mu_col), rows)
-            + variant.beta_s * mu
+            + a.beta_s * mu
             - a.value(xstar, mu_col)
         )
     else:
@@ -160,8 +161,7 @@ def record_diagnostics(
 
     `s` is the schedule sampled at the m recorded times (array fields), `x`
     and `z` the recorded states, shape (m, n).  For the Smoothed variant `mu`
-    holds mu at the recorded times; when it is None the schedule's `mu` is
-    evaluated there once.
+    holds mu at the recorded times.
 
     The terms computed from the states run over `ROW_CHUNK` rows at a time,
     so their (rows, n) temporaries stay O(ROW_CHUNK * n); the slacks, the
@@ -171,11 +171,8 @@ def record_diagnostics(
     slack1, slack2, slack3, slack4 = condition_slacks(s, sigma)
     budget = np.zeros_like(s.t)
     if isinstance(variant, Smoothed):
-        sched = variant.mu_schedule
-        if mu is None:
-            mu = row_values("mu", sched.mu(s.t), s.t.shape)
-        growth = row_values("budget", sched.budget(s.t[:-1], s.t[1:]), (m - 1,))
-        budget = np.concatenate(([0.0], np.cumsum(variant.beta_s * growth)))
+        growth = row_values("budget", variant.mu_schedule.budget(s.t[:-1], s.t[1:]), (m - 1,))
+        budget = np.concatenate(([0.0], np.cumsum(variant.approximation.beta_s * growth)))
 
     V, f_gap, d_xstar_z, d_xstar_x, d_z_x = (np.empty(m) for _ in range(5))
     for k in range(0, m, ROW_CHUNK):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bregman import DistanceGenerator, Objective, row_values
-from .dynamics import IntegratorConfig, Trajectory, _integrate_core, half_step_grid
+from .dynamics import IntegratorConfig, Trajectory, _integrate_core
 from .errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
 from .lyapunov import Smoothed
 from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, ScheduleFamily
@@ -63,6 +63,16 @@ class SmoothingSchedule:
     mu: Callable[[float], float]
     budget: Callable[[float, float], float]
     description: str = "custom"
+
+    def on_grid(self, t: np.ndarray) -> np.ndarray:
+        """mu at the times `t`, evaluated once, vectorized; raises
+        ScheduleError unless it is positive, finite and nonincreasing there."""
+        mu = row_values("mu", self.mu(t), np.shape(t))
+        if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+            raise ScheduleError("mu(t) must be positive and finite on the horizon")
+        if np.any(np.diff(mu) > 1e-12 * np.max(mu)):
+            raise ScheduleError("mu(t) must be nonincreasing on the horizon")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -187,8 +197,10 @@ def l1_denoise_approximation(y, w: float, mu_max: float = 1.0):
     return approx, spec
 
 
-# Samples per row batch of `certify_smooth_approx`.
+# Samples per row batch of `certify_smooth_approx`, and the half-width of
+# the box its x and y are drawn from.
 _CERT_CHUNK = 1024
+_CERT_BOX = 2.0
 
 
 def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
@@ -210,18 +222,17 @@ def certify_smooth_approx(
     a: SmoothApproximation,
     num_samples: int,
     seed: int,
-    box: float = 2.0,
     mu_max: float = 1.0,
     tolerance: float = 1e-9,
 ) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
-    Sample i is x_i, y_i ~ U[-box, box]^n and mu_i ~ U[1e-3, mu_max], drawn
-    in that order; the draws are taken and checked in row batches of
-    `_CERT_CHUNK` samples.  Each callable must take row batches (README, "Row
-    batches"): a result of the wrong shape, or one whose first row differs
-    from a one-point call, raises `ConfigurationError`.
+    Sample i is x_i, y_i ~ U[-2, 2]^n (`_CERT_BOX`) and mu_i ~ U[1e-3,
+    mu_max], drawn in that order; the draws are taken and checked in row
+    batches of `_CERT_CHUNK` samples.  Each callable must take row batches
+    (README, "Row batches"): a result of the wrong shape, or one whose first
+    row differs from a one-point call, raises `ConfigurationError`.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
@@ -234,8 +245,8 @@ def certify_smooth_approx(
         m = min(_CERT_CHUNK, num_samples - start)
         u = rng.random((m, 2 * dim + 1))
         # low + (high - low) * u is how Generator.uniform scales its draws
-        x = -box + 2.0 * box * u[:, :dim]
-        y = -box + 2.0 * box * u[:, dim : 2 * dim]
+        x = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, :dim]
+        y = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, dim : 2 * dim]
         mu_col = 1e-3 + (mu_max - 1e-3) * u[:, 2 * dim :]
         mu = mu_col[:, 0]
         x0, mu0 = x[0], float(mu[0])
@@ -332,43 +343,17 @@ def smoothed_flow(
     x0: Vector,
     v0: Optional[Vector] = None,
 ) -> Trajectory:
-    """Integrate the flow with grad f replaced by grad_x f~(x, mu(t)).
-
-    Diagnostics use the smoothed Lyapunov variant and accumulate the budget
-    B(t) = beta_s int nu_dot e^nu mu.  mu is evaluated once, vectorized, on
-    the integrator's half-step grid; it must be positive, finite and
-    nonincreasing at every grid point, and the stepping loop and the
-    diagnostics read it there by grid index.  The certificates use the
-    family's sigma, or 0 where it states none.
-    """
-    mu_g = np.asarray(mu_sched.mu(half_step_grid(config)[1]), dtype=float)
-    if np.any(mu_g <= 0) or not np.all(np.isfinite(mu_g)):
-        raise ScheduleError("mu(t) must be positive and finite on the horizon")
-    if np.any(np.diff(mu_g) > 1e-12 * np.max(mu_g)):
-        raise ScheduleError("mu(t) must be nonincreasing on the horizon")
-    variant = Smoothed(approximation=a, beta_s=a.beta_s, mu_schedule=mu_sched)
-    # an exact approximation drives the flow with base's own gradient, so the
-    # run takes the same integration path as the unsmoothed flow of base
-    grad = None if a.exact else (lambda x, j: a.grad_x(x, mu_g[j]))
-    traj = _integrate_core(
-        h,
-        a.base,
-        family,
-        config,
-        x0,
-        v0,
-        variant=variant,
-        sigma=0.0 if family.sigma is None else family.sigma,
-        gradient_override=grad,
-        extra_metadata={"smoothing": {"approximation": a.name, "mu": mu_sched.description}},
-        mu_grid=mu_g,
-    )
-    return dataclasses.replace(
-        traj, gradient_of=lambda x, t: a.grad_x(x, float(mu_sched.mu(t)))
-    )
+    """Shorthand for `integrate(h, a.base, family, config, x0, v0,
+    variant=Smoothed(a, mu_sched))`: the flow driven by grad_x f~(x, mu(t)),
+    whose diagnostics accumulate the budget B(t) = beta_s int nu_dot e^nu mu."""
+    return _integrate_core(h, a.base, family, config, x0, v0, variant=Smoothed(a, mu_sched))
 
 
-def with_exact_smooth_objective(f: Objective, beta_s: float = 1.0) -> SmoothApproximation:
+# beta_s of `with_exact_smooth_objective`: any beta_s >= 0 holds its sandwich.
+_EXACT_BETA_S = 1.0
+
+
+def with_exact_smooth_objective(f: Objective) -> SmoothApproximation:
     """Wrap a smooth objective as its own approximation (f~ = f, grad_mu = 0).
 
     Satisfies the band trivially; with mu -> 0 the smoothed Lyapunov value
@@ -382,7 +367,7 @@ def with_exact_smooth_objective(f: Objective, beta_s: float = 1.0) -> SmoothAppr
         grad_x=lambda x, mu: f.gradient(x),
         grad_mu=lambda x, mu: np.zeros(np.shape(x)[:-1]),
         alpha_s=_smooth_part_alpha(f),
-        beta_s=beta_s,
+        beta_s=_EXACT_BETA_S,
         base=f,
         name=f"exact({f.name})",
         exact=True,

@@ -334,6 +334,50 @@ def test_simulate_on_the_smooth_demo_config_is_smooth_demo(monkeypatch, tmp_path
     assert reseeded["monotonicity"] == summary["monotonicity"]
 
 
+def test_l1_denoise_without_smoothing_exits_two(tmp_path, capsys):
+    text = SMOOTH_DEMO_CFG.format(out=tmp_path / "o").replace("[smoothing]\n", "")
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, text), "--quiet"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "[smoothing]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("variant", ["standard", "symmetric"])
+def test_lyapunov_variant_beside_smoothing_exits_two(tmp_path, capsys, variant):
+    text = SMOOTH_DEMO_CFG.format(out=tmp_path / "o") + f"\n[lyapunov]\nvariant = {variant}\n"
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigurationError, match=r"\[lyapunov\]\.variant.*\[smoothing\]"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", path, "--quiet"]) == cli.EXIT_CONFIG_ERROR
+    assert "[lyapunov].variant" in capsys.readouterr().err
+    # auto, spelled out, is the smoothed run itself
+    auto = SMOOTH_DEMO_CFG.format(out=tmp_path / "o") + "\n[lyapunov]\nvariant = auto\n"
+    assert load_config(write_cfg(tmp_path, auto)).smoothing is not None
+
+
+@pytest.mark.parametrize("command", ["simulate", "smooth-demo"])
+def test_each_run_is_one_integrate_call(monkeypatch, tmp_path, command):
+    # a benchmark child wraps `cli.integrate` and takes its set-up mark and
+    # the reference state from that one call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(dynamics.integrate(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--quiet"]
+    if command == "simulate":
+        argv += ["--config", write_cfg(tmp_path, QUAD_CFG.format(t_end=1.0, out=out))]
+    assert cli.main(argv) == cli.EXIT_PASS
+    [traj] = calls
+    prefix = "smooth_" if command == "smooth-demo" else ""
+    summary = json.loads((out / f"{prefix}summary.json").read_text())
+    assert summary["metadata"]["V0"] == traj.metadata["V0"]
+    assert summary["metadata"]["variant"] == ("smoothed" if prefix else "standard")
+
+
 def test_load_config_defaults_are_experiment_config_defaults(tmp_path):
     text = "[problem]\nkind = quadratic\nq_diag = 1\n[schedule]\nfamily = hyperbolic\n"
     text += "sigma = 1\n[integrator]\nt_end = 2\n"

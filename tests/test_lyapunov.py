@@ -86,7 +86,7 @@ def test_smoothed_value_reduces_to_standard_as_mu_vanishes():
     s = fam.sample(1.0)
     st = FlowState(1.0, np.array([0.7]), np.array([0.4]))
     smooth_v = ag.lyapunov_value(
-        ag.Smoothed(approx, approx.beta_s, mu), spec.generator, spec.objective, s, st,
+        ag.Smoothed(approx, mu), spec.generator, spec.objective, s, st,
         spec.objective.minimizer,
     )
     std_v = ag.lyapunov_value(ag.Standard(), spec.generator, spec.objective, s, st,
@@ -357,12 +357,12 @@ def _oracle_diagnostics(traj):
         )
         if isinstance(variant, ag.Smoothed):
             a, mu = variant.approximation, float(variant.mu_schedule.mu(t))
-            gap = float(a.value(x, mu)) + variant.beta_s * mu - float(a.value(xstar, mu))
+            gap = float(a.value(x, mu)) + a.beta_s * mu - float(a.value(xstar, mu))
             V = np.exp(s.nu) * (np.exp(s.eta) * d_xz + gap)
             budget = 0.0
             if rows:
                 grow = float(variant.mu_schedule.budget(rows[-1]["t"], t))
-                budget = rows[-1]["budget"] + variant.beta_s * grow
+                budget = rows[-1]["budget"] + a.beta_s * grow
         else:
             div = d_xz
             if isinstance(variant, ag.Symmetric):

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 import agflow as ag
+from agflow import lyapunov
 from agflow.dynamics import _integrate_core
 from agflow.errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
 from agflow.smoothing import SmoothApproximation, add_smooth_part
@@ -75,7 +77,7 @@ def test_certification_catches_understated_beta():
 
 def test_smooth_objective_as_own_approximation_passes():
     spec = ag.quadratic(np.eye(2), np.zeros(2))
-    a = ag.with_exact_smooth_objective(spec.objective, beta_s=1.0)
+    a = ag.with_exact_smooth_objective(spec.objective)
     rep = ag.certify_smooth_approx(a, num_samples=500, seed=3, mu_max=0.5)
     assert rep.passed
     assert rep.max_band_violation <= 0.0
@@ -233,7 +235,8 @@ def test_smoothed_flow_rejects_mu_bump_between_coarse_probes():
 
 
 def test_grid_mu_matches_per_stage_mu_oracle():
-    # the smooth-demo run, against the stepping loop with mu(t) evaluated per stage
+    # the smooth-demo run, against the same core under a schedule whose mu(t)
+    # is evaluated one time at a time, as a per-stage call would
     approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
     fam = ag.Hyperbolic(0.0)
     mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
@@ -241,20 +244,11 @@ def test_grid_mu_matches_per_stage_mu_oracle():
     x0 = np.zeros(2)
     fast = ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, x0)
 
-    def per_stage(x, j):
-        return approx.grad_x(x, float(mu.mu(cfg.t0 + 0.5 * cfg.step * j)))
+    def one_time_at_a_time(t):
+        return np.array([float(mu.mu(ti)) for ti in np.ravel(t)]).reshape(np.shape(t))
 
-    ref = _integrate_core(
-        spec.generator,
-        approx.base,
-        fam,
-        cfg,
-        x0,
-        np.zeros(2),
-        variant=ag.Smoothed(approximation=approx, beta_s=approx.beta_s, mu_schedule=mu),
-        sigma=0.0,
-        gradient_override=per_stage,
-    )
+    per_time = dataclasses.replace(mu, mu=one_time_at_a_time)
+    ref = _integrate_core(spec.generator, approx.base, fam, cfg, x0, np.zeros(2), ag.Smoothed(approx, per_time))
     assert np.array_equal(fast.times, ref.times)
     scale = max(np.max(np.abs(ref.states_x)), np.max(np.abs(ref.states_z)))
     assert np.max(np.abs(fast.states_x - ref.states_x)) <= 1e-12 * scale
@@ -265,6 +259,47 @@ def test_grid_mu_matches_per_stage_mu_oracle():
     x, t = fast.states_x[len(fast) // 2], float(fast.times[len(fast) // 2])
     assert np.array_equal(fast.gradient_of(x, t), approx.grad_x(x, float(mu.mu(t))))
     assert not np.array_equal(fast.gradient_of(x, t), approx.base.gradient(x))
+
+
+def test_integrate_under_smoothed_is_smoothed_flow():
+    # smooth-demo's problem on [1, 5], under a family that states no sigma
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    fam = copy.copy(ag.PolynomialDamping(3.0))
+    fam.sigma = None
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=5.0, step=1e-3, record_stride=10)
+    x0 = np.zeros(2)
+    shorthand = ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, x0)
+    traj = ag.integrate(spec.generator, spec.objective, fam, cfg, x0, variant=ag.Smoothed(approx, mu))
+    for name in ("times", "states_x", "states_z"):
+        assert np.array_equal(getattr(traj, name), getattr(shorthand, name)), name
+    for name in lyapunov.DIAGNOSTIC_FIELDS:
+        assert np.array_equal(getattr(traj.records, name), getattr(shorthand.records, name)), name
+    assert traj.metadata == shorthand.metadata
+    assert traj.metadata["smoothing"] == {"approximation": approx.name, "mu": mu.description}
+    # sigma falls back to 0, not to the objective's
+    assert traj.metadata["sigma"] == 0.0 and spec.objective.sigma == 1.0
+    assert traj.metadata["integrator"]["path"] == "stepping_loop"
+    x, t = traj.states_x[-1], float(traj.times[-1])
+    assert np.array_equal(traj.gradient_of(x, t), approx.grad_x(x, float(mu.mu(t))))
+
+
+def test_smoothed_variant_needs_f_as_its_base():
+    approx, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    other, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    fam = ag.Hyperbolic(0.0)
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    with pytest.raises(ConfigurationError, match="base"):
+        ag.integrate(spec.generator, spec.objective, fam, cfg, np.zeros(2), variant=ag.Smoothed(other, mu))
+
+
+@pytest.mark.parametrize("variant", [None, ag.Standard(), ag.Symmetric()], ids=["auto", "standard", "symmetric"])
+def test_nonsmooth_objective_needs_a_smoothed_variant(variant):
+    spec = ag.l1_denoise(np.array([2.0, 0.1]), 1.0)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    with pytest.raises(ConfigurationError, match="not smooth.*Smoothed"):
+        ag.integrate(spec.generator, spec.objective, ag.Hyperbolic(0.0), cfg, np.zeros(2), variant=variant)
 
 
 def per_sample_certificate(a, num_samples, seed, box=2.0, mu_max=1.0, tolerance=1e-9):
