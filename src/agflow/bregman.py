@@ -31,7 +31,8 @@ class DistanceGenerator:
     ``sample_point`` draws in-domain points for the sampled checks; the
     default is the box [-2, 2]^n.  ``hessian`` is the constant Hessian H of a
     quadratic h, or None; with it the integrator may run the flow as composed
-    linear step maps.
+    linear step maps.  As with `Objective.gradient`, a point handed to
+    ``gradient`` is valid only during the call.
     """
 
     dim: int
@@ -66,7 +67,9 @@ class Objective:
     objectives whose ``gradient`` is a subgradient selection (valid away from
     kinks); those are only driven through the smoothing pipeline.
     ``hessian`` is the constant Hessian G of a quadratic f (gradient
-    G x - r), or None.
+    G x - r), or None.  The array handed to ``gradient`` is valid only
+    during the call: the integrator reuses its buffer for later points, so a
+    gradient that keeps its argument must keep a copy.
     """
 
     dim: int
@@ -249,7 +252,7 @@ def squared_euclidean(dim: int) -> DistanceGenerator:
         gradient=lambda x: np.asarray(x, dtype=float),
         hessian_solve=lambda point, rhs: np.asarray(rhs, dtype=float),
         symmetric=True,
-        domain_guard=lambda x: bool(np.all(np.isfinite(x))),
+        domain_guard=lambda x: bool(np.isfinite(x).all()),
         name="squared_euclidean",
         hessian=np.eye(dim),
     )
@@ -266,7 +269,7 @@ def diagonal_quadratic(weights) -> DistanceGenerator:
         gradient=lambda x: w * x,
         hessian_solve=lambda point, rhs: rhs / w,
         symmetric=True,
-        domain_guard=lambda x: bool(np.all(np.isfinite(x))),
+        domain_guard=lambda x: bool(np.isfinite(x).all()),
         name="diagonal_quadratic",
         hessian=np.diag(w),
     )
@@ -295,7 +298,7 @@ def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
         gradient=lambda x: 1.0 + np.log(x),
         hessian_solve=lambda point, rhs: rhs * point,
         symmetric=False,
-        domain_guard=lambda x: bool(np.all(x > 0) and np.all(np.isfinite(x))),
+        domain_guard=lambda x: bool((x > 0).all() and np.isfinite(x).all()),
         name="negative_entropy",
         sample_point=_simplex_sampler(dim, margin),
         sample_region=f"interior simplex, margin {margin:g}",
@@ -318,7 +321,7 @@ def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
         gradient=lambda x: np.einsum("...j,ij->...i", x, Q),
         hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
         symmetric=True,
-        domain_guard=lambda x: bool(np.all(np.isfinite(x))),
+        domain_guard=lambda x: bool(np.isfinite(x).all()),
         name="quadratic_matrix",
         hessian=Q,
     )

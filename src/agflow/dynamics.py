@@ -5,24 +5,19 @@ The second-order flow is integrated as the first-order pair (x, z) with
     xdot = e^alpha (z - x)
     hess_h(z) zdot = -K [grad h(z) - grad h(x)]  -  e^(alpha - eta) grad f(x)
 
-using classical fixed-step 4th-order Runge-Kutta.  The schedule coefficients
-e^alpha, K and e^(alpha - eta) (`schedules.flow_coefficients`) are
-precomputed on the half-step grid in one vectorized pass.
+by classical fixed-step RK4, with e^alpha, K and e^(alpha - eta)
+(`schedules.flow_coefficients`) sampled on the half-step grid in one pass.
+Every flow is stepped in the deviation d = z - x, where it reads
 
-Every flow is stepped in the deviation d = z - x, in which it reads
+    xdot = e^alpha d,   ddot = -(kappa + e^alpha) d + F,   F = -scale raw(x, d)
 
-    xdot = e^alpha d,   ddot = -(kappa + e^alpha) d + F(x, d)
-
-with one forcing F for every generator (`_stage_forcing`).  Each RK4 stage
-point and the step update are then linear in d and the stages' forcings, with
-coefficients that depend only on the half-step grid, built ahead per chunk of
-steps (`rk4._rk4_stage_coefficients`).  The stepping loop (the
-"stepping_loop" path) evaluates four forcings per step and applies them.
-When f and h both declare constant Hessians (and no smoothed gradient drives
-the flow), the flow measured from its rest point splits into 2x2 modes with
-F = -e^(alpha - eta) lam u, so each step is a linear map per mode, built from
-the same coefficients, and `rk4._composed_maps` walks the maps (the
-"composed_maps" path).
+with one encoding of kappa, scale and raw for every generator
+(`_stage_forcing`).  The stepping loop (the "stepping_loop" path) makes one
+product and one `raw` call per stage, from stage coefficients that fold in x
+and the scale (`rk4._folded_stage_coefficients`).  When f and h both declare
+constant Hessians (and no smoothed gradient drives the flow), the flow from
+its rest point splits into 2x2 modes, each step is a linear map per mode, and
+`rk4._composed_maps` walks the maps (the "composed_maps" path).
 `metadata["integrator"]` names the path and counts steps and gradient calls.
 
 Either path hands its states to one shared check in blocks of consecutive
@@ -56,7 +51,7 @@ from .errors import (
     PreconditionError,
     TimeDomainError,
 )
-from .rk4 import _composed_maps, _rk4_stage_coefficients
+from .rk4 import _composed_maps, _folded_stage_coefficients
 from .schedules import ScheduleFamily, ScheduleSample, flow_coefficients, is_standard_form
 
 Vector = np.ndarray
@@ -129,11 +124,11 @@ class Trajectory:
         ea, K, ema = flow_coefficients(s)
         times = self.times.tolist()
         grad = lambda x, k: self.gradient_of(x, times[k])  # noqa: E731
-        kappa, forcing = _stage_forcing(self.h, grad, K, ema)
+        kappa, scale, raw = _stage_forcing(self.h, grad, K, ema)
         x, d = self.states_x, self.states_z - self.states_x
         F = np.zeros_like(d)
         for k in range(1, len(self) - 1):
-            forcing(k, x[k], d[k], F[k])
+            F[k] = -scale[k] * raw(k, x[k], d[k])
         xdot = ea[:, None] * d
         xddot = np.gradient(xdot, self.times, axis=0)
         ddot = F - (kappa + ea)[:, None] * d
@@ -305,11 +300,9 @@ def rhs_general(
         if not h.domain_guard(p):
             raise IntegrationError(f"{label} = {p} left the domain of {h.name}", last_state=state)
     ea, K, ema = flow_coefficients(s)
-    kappa, forcing = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]))
+    kappa, scale, raw = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]))
     d = z - x
-    F = np.empty_like(d)
-    forcing(0, x, d, F)
-    return ea * d, F - kappa[0] * d
+    return ea * d, -scale[0] * raw(0, x, d) - kappa[0] * d
 
 
 def rhs_l2(f: Objective, s: ScheduleSample, state: FlowState):
@@ -466,20 +459,23 @@ def _integrate_core(
         grad_evals = _HESSIAN_CHECK_POINTS
         walk = _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events)
 
-    n_rec = 1 + np.count_nonzero((events % stride == 0) | (events == n_steps))
-    rec_steps = np.zeros(n_rec, dtype=int)
-    xs = np.empty((n_rec, x.size))
-    zs = np.empty((n_rec, x.size))
+    recorded = (events % stride == 0) | (events == n_steps)
+    rec_steps = np.concatenate(([0], events[recorded]))
+    xs = np.empty((rec_steps.size, x.size))
+    zs = np.empty((rec_steps.size, x.size))
     xs[0], zs[0] = x, z
-    r = 1
-    last_valid = FlowState(config.t0, x, z)
+    prev = (rec_steps[:1], x[None], z[None])  # the block checked last
+    e = 0  # events walked
+    r = 1  # rows recorded
 
     with np.errstate(all="ignore"):
         for steps, X, Z in walk:
-            last_valid = _check_block(h, config.t0, hstep, steps, X, Z, last_valid)
-            rec = (steps % stride == 0) | (steps == n_steps)
+            _check_block(h, config.t0, hstep, steps, X, Z, prev)
+            prev = (steps, X, Z)
+            rec = recorded[e : e + steps.size]
+            e += steps.size
             k = r + np.count_nonzero(rec)
-            rec_steps[r:k], xs[r:k], zs[r:k] = steps[rec], X[rec], Z[rec]
+            xs[r:k], zs[r:k] = X[rec], Z[rec]
             r = k
 
     grid_idx = 2 * rec_steps
@@ -531,57 +527,50 @@ def _integrate_core(
     )
 
 
-def _check_block(h, t0, hstep, steps, X, Z, last_valid):
-    """Finite and domain checks of a block of consecutive states X[i], Z[i]
-    after step steps[i].
-
-    One vectorized check covers the block.  Only when it fails are the rows
-    tried one by one, so the first bad one raises `DivergenceError`
-    (non-finite) or `IntegrationError` (out of domain, with the last valid
-    state).  Returns the block's last state.
+def _check_block(h, t0, hstep, steps, X, Z, prev):
+    """Check the states X[i], Z[i] after steps[i] of a block; `prev` is the
+    block (steps, X, Z) checked before it.  Z is X plus the deviation in both
+    walks, so it is finite only where X is: one vectorized pass checks Z's
+    finiteness and both domains.  Only when it fails are the rows tried in
+    order, and the first bad one raises `DivergenceError` (non-finite) or
+    `IntegrationError` (out of domain, with the last valid state).
     """
-    if not (np.isfinite(X).all() and np.isfinite(Z).all() and h.domain_guard(X) and h.domain_guard(Z)):
-        for i in range(steps.size):
-            t = float(t0 + steps[i] * hstep)
-            if not (np.isfinite(X[i]).all() and np.isfinite(Z[i]).all()):
-                raise DivergenceError(f"non-finite state at t = {t:g} (last valid t = {last_valid.t:g})")
-            if not (h.domain_guard(X[i]) and h.domain_guard(Z[i])):
-                raise IntegrationError(
-                    f"state left the domain of {h.name} at t = {t:g}", last_state=last_valid
-                )
-            last_valid = FlowState(t, X[i], Z[i])
-    return FlowState(float(t0 + steps[-1] * hstep), X[-1], Z[-1])
+    if np.isfinite(Z).all() and h.domain_guard(X) and h.domain_guard(Z):
+        return
+    last_valid = FlowState(float(t0 + prev[0][-1] * hstep), prev[1][-1], prev[2][-1])
+    for i in range(steps.size):
+        t = float(t0 + steps[i] * hstep)
+        if not (np.isfinite(X[i]).all() and np.isfinite(Z[i]).all()):
+            raise DivergenceError(f"non-finite state at t = {t:g} (last valid t = {last_valid.t:g})")
+        if not (h.domain_guard(X[i]) and h.domain_guard(Z[i])):
+            raise IntegrationError(f"state left the domain of {h.name} at t = {t:g}", last_state=last_valid)
+        last_valid = FlowState(t, X[i], Z[i])
 
 
 def _stage_forcing(h, grad, K_g, ema_g):
-    """The flow in deviation coordinates d = z - x, for any generator h.
-
-    The flow reads xdot = e^alpha d, ddot = -(kappa + e^alpha) d + F with
-      kappa = K and F = -e^(alpha - eta) grad f(x)  when hess h = I;
-      kappa = 0 and F = hess_h(z)^-1 [-K (grad h(z) - grad h(x))
-                                      - e^(alpha - eta) grad f(x)]  otherwise,
-    with K from `schedules.flow_coefficients` and z = x + d.
-    Returns kappa on the half-step grid and `forcing(j, x, d, out)`, which
-    writes F at grid point j into `out`; `grad(x, j)` is grad f there.
+    """The flow in deviation coordinates d = z - x, for any generator h:
+    xdot = e^alpha d, ddot = -(kappa + e^alpha) d + F, F = -scale raw(j, x, d)
+    at half-step grid point j, where
+      kappa = K, scale = e^(alpha - eta), raw = grad f(x)  when hess h = I;
+      kappa = 0, scale = 1, raw = hess_h(z)^-1 [K (grad h(z) - grad h(x))
+                                  + e^(alpha - eta) grad f(x)]  otherwise,
+    with K from `schedules.flow_coefficients` and z = x + d.  Returns kappa
+    and scale on the grid (no new grid-sized arrays) and `raw`; `grad(x, j)`
+    is grad f at grid point j.
     """
     if h.identity_hessian:
-
-        def forcing(j, x, d, out):
-            np.multiply(grad(x, j), -ema_g[j], out=out)
-
-        return K_g, forcing
+        return K_g, ema_g, lambda j, x, d: grad(x, j)
 
     gh, solve = h.gradient, h.hessian_solve
 
-    def forcing(j, x, d, out):
+    def raw(j, x, d):
         z = x + d
-        rhs = -K_g[j] * (gh(z) - gh(x)) - ema_g[j] * grad(x, j)
         try:
-            out[...] = solve(z, rhs)
+            return solve(z, K_g[j] * (gh(z) - gh(x)) + ema_g[j] * grad(x, j))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
 
-    return np.zeros_like(K_g), forcing
+    return np.broadcast_to(0.0, K_g.shape), np.broadcast_to(1.0, K_g.shape), raw
 
 
 # Steps per chunk of stage coefficients: bounds their transient memory.
@@ -590,45 +579,47 @@ _STEP_CHUNK = 256
 
 def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     """RK4 stepping for any generator and gradient, in deviation coordinates
-    (see `_stage_forcing`); yields the block (steps, X, Z) of one step listed
-    in `events` at a time, so no step is taken past a state that fails its
-    check.
+    (`_stage_forcing`); yields the block (steps, X, Z) of each step listed in
+    `events` on its own, so no step is taken past a state that fails its check.
 
-    Each step evaluates the forcing at its four stage points; the points and
-    the update come from `_rk4_stage_coefficients`, built per chunk of events.
-    x enters every point with coefficient 1, so a rest point (d = 0, F = 0)
-    stays exact.  This is the general path and the reference the composed
-    maps are tested against.
+    Y = [x, d, G_1 .. G_4] holds the state and the stages' raw forcings; the
+    stage coefficients over it (`_folded_stage_coefficients`) are built per
+    chunk of `_STEP_CHUNK` steps, so a stage is one product and one `raw`
+    call.  x enters every point with coefficient 1, so a rest point (d = 0,
+    F = 0) stays exact.  This is the general path and the reference the
+    composed maps are tested against.
     """
-    kappa_g, forcing = _stage_forcing(h, grad, K_g, ema_g)
-    dot = np.dot  # a shorter call than @ on these tiny operands
-    Y = np.empty((5, x.size))
-    Y[0] = z - x
-    d, F1, F2, F3, F4 = Y
-    Y2, Y3, Y4 = Y[:2], Y[:3], Y[:4]
-    starts = np.concatenate(([0], events[:-1]))
-    per_chunk = max(1, _STEP_CHUNK // int(np.max(events - starts)))
-    for b0 in range(0, events.size, per_chunk):
-        ev = events[b0 : b0 + per_chunk]
-        k0 = int(starts[b0])
-        P2, P3, P4, U = _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, ev[-1])
-        done = k0
-        for event in ev.tolist():
-            for k in range(done, event):
-                i = k - k0
-                j = 2 * k
-                forcing(j, x, d, F1)
-                p = dot(P2[i], Y2)
-                forcing(j + 1, x + p[0], p[1], F2)
-                p = dot(P3[i], Y3)
-                forcing(j + 1, x + p[0], p[1], F3)
-                p = dot(P4[i], Y4)
-                forcing(j + 2, x + p[0], p[1], F4)
-                p = dot(U[i], Y)
-                x = x + p[0]
-                d[...] = p[1]
-            done = event
-            yield np.array([event]), x[None], (x + d)[None]
+    kappa_g, scale_g, raw = _stage_forcing(h, grad, K_g, ema_g)
+    Y = np.empty((6, x.size))
+    Y[0], Y[1] = x, z - x
+    x, d, G1, G2, G3, G4 = Y  # views: every step writes them in place
+    XD, Y3, Y4, Y5 = Y[:2], Y[:3], Y[:4], Y[:5]
+    S = np.empty((2, x.size))  # a stage's point, then the step's update
+    xs, ds = S
+    n_steps = int(events[-1])
+    # the events' grid points, read lazily: a list would grow with the horizon
+    ends = (2 * int(k) for k in events)
+    e, end = 0, next(ends)
+    for k0 in range(0, n_steps, _STEP_CHUNK):
+        k1 = min(k0 + _STEP_CHUNK, n_steps)
+        chunk = _folded_stage_coefficients(ea_g, kappa_g, scale_g, hstep, k0, k1)
+        # `raw` is handed rows of Y and S, which the next product overwrites
+        # (see `Objective`).  The method `dot` is a shorter call than np.dot
+        # or @ on these tiny operands, and `out=` saves an array per stage.
+        for j, P2, P3, P4, U in zip(range(2 * k0, 2 * n_steps, 2), *chunk):
+            G1[...] = raw(j, x, d)
+            P2.dot(Y3, S)
+            G2[...] = raw(j + 1, xs, ds)
+            P3.dot(Y4, S)
+            G3[...] = raw(j + 1, xs, ds)
+            P4.dot(Y5, S)
+            G4[...] = raw(j + 2, xs, ds)
+            U.dot(Y, S)
+            XD[...] = S
+            if j + 2 == end:
+                X = x[None].copy()
+                yield events[e : e + 1], X, X + d
+                e, end = e + 1, next(ends, 0)
 
 
 # Points at which `_declared_hessian` evaluates the gradient: 0, x and x + 1.

@@ -8,7 +8,7 @@ Both integration paths of `dynamics` step
 with a = e^alpha and b = kappa + e^alpha on the half-step grid.  Each RK4
 stage point and the step update are linear in d and the stages' forcings,
 with coefficients built per chunk of steps (`_rk4_stage_coefficients`); the
-stepping loop evaluates the forcings and applies them.  A linear flow split
+stepping loop folds x and the forcings' scale into them.  A linear flow split
 into 2x2 modes has the forcing F = -e^(alpha - eta) lam u per mode, so each
 step is a linear map per mode, built from the same coefficients
 (`_rk4_step_maps`).  Every entry of such a map is quadratic in lam, so the
@@ -31,7 +31,9 @@ def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
     F_(s-1)] and the step maps (x, d) to (x + U[0] @ Y, U[1] @ Y) for Y =
     [d, F_1 .. F_4], where F_s is the forcing at stage s.  Returns the stage
     coefficients P of stages 2, 3 and 4, of shapes (m, 2, 2), (m, 2, 3) and
-    (m, 2, 4), and U, of shape (m, 2, 5), for the m = k1 - k0 steps.
+    (m, 2, 4), and U, of shape (m, 2, 5), for the m = k1 - k0 steps.  The
+    step maps use them as they are; the stepping loop folds x and the
+    forcings' scale into them (`_folded_stage_coefficients`).
     """
     grid = slice(2 * k0, 2 * k1 + 1)  # the chunk's half-step grid points
     a, b = ea_g[grid], kappa_g[grid] + ea_g[grid]
@@ -53,6 +55,27 @@ def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
     sixth = hstep / 6.0
     U = np.stack([sixth * kx_sum, basis[0] + sixth * kd_sum], axis=1)
     return (*stages, U)
+
+
+def _folded_stage_coefficients(ea_g, kappa_g, scale_g, hstep, k0, k1):
+    """`_rk4_stage_coefficients` of steps k0..k1-1 over Y = [x, d, G_1 .. G_4],
+    where F_s = -scale G_s at stage s's grid point.
+
+    Stage s sits at P @ Y[:s + 1] and the step maps (x, d) to U @ Y: x enters
+    with coefficient 1, and each G_s column is the F_s column times -scale.
+    Returns the folded P of stages 2, 3 and 4, of shapes (m, 2, 3), (m, 2, 4)
+    and (m, 2, 5), and U, of shape (m, 2, 6), for the m = k1 - k0 steps.
+    """
+    j = 2 * np.arange(k0, k1)
+    # -scale at each stage's grid point, one column per stage
+    neg_scale = -np.stack([scale_g[j], scale_g[j + 1], scale_g[j + 1], scale_g[j + 2]], axis=1)
+    x_col = np.broadcast_to([[1.0], [0.0]], (j.size, 2, 1))
+    folded = []
+    for C in _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
+        n_forcings = C.shape[2] - 1
+        G = C[:, :, 1:] * neg_scale[:, None, :n_forcings]
+        folded.append(np.concatenate((x_col, C[:, :, :1], G), axis=2))
+    return folded
 
 
 # Steps per run of node maps, and step-modes per chunk of expanded maps:

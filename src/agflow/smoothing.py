@@ -36,7 +36,8 @@ class SmoothApproximation:
     array that broadcasts against x (shape (..., 1) for one mu per row).
     `value` and `grad_mu` return shape (...), `grad_x` shape (..., n).
     ``exact`` declares f~(x, mu) = base(x) for every mu; the smoothed flow is
-    then the flow of `base` itself.
+    then the flow of `base` itself.  The x handed to `grad_x` by the
+    integrator is valid only during the call (see `Objective`).
     """
 
     value: Callable[[Vector, float], float]

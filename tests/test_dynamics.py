@@ -558,6 +558,29 @@ def test_non_identity_generator_paths_agree():
     assert np.max(np.abs(fast.states_z[-1] - ref.states_z[-1])) <= 1e-11 * scale
 
 
+@pytest.mark.parametrize(
+    "h", [ag.squared_euclidean(2), ag.diagonal_quadratic([1.0, 4.0])], ids=["identity", "diagonal"]
+)
+def test_gradient_that_keeps_a_copy_sees_each_step_start(h):
+    # the point handed to the gradient is valid only during the call
+    # (`Objective`); a copy taken then is the point the stage evaluated
+    spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([0.5, -0.5]))
+    copies = []
+
+    def gradient(x):
+        copies.append(x.copy())
+        return spec.objective.gradient(x)
+
+    f = dataclasses.replace(spec.objective, gradient=gradient, hessian=None)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=1.5, step=1e-2, record_stride=5)
+    traj = ag.integrate(h, f, ag.PolynomialDamping(3.0), cfg, np.array([1.0, -1.0]))
+    assert traj.metadata["integrator"]["path"] == "stepping_loop"
+    assert len(copies) == 4 * 50
+    # a step's first stage is at the state it starts from
+    step_starts = np.array(copies[::4])
+    assert np.array_equal(step_starts[::5], traj.states_x[:-1])
+
+
 def _old_csv(traj) -> str:
     """The per-sample f-string CSV writer the row-template writer replaced."""
     n = traj.states_x.shape[1]

@@ -1,7 +1,7 @@
-"""The transient memory of the diagnostics pass, of the table writers and of
-the composed-maps walk is set by their chunk sizes, not by the number of
-recorded samples or steps; a schedule sample holds no more grid arrays than
-its family needs.
+"""The transient memory of the diagnostics pass, of the table writers, of
+the composed-maps walk and of the stepping loop is set by their chunk sizes,
+not by the number of recorded samples or steps; a schedule sample holds no
+more grid arrays than its family needs.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
@@ -139,4 +139,33 @@ def _walk_transient(n_steps):
 
 def test_composed_maps_walk_transient_does_not_grow_with_the_horizon():
     short, long = _walk_transient(10_000), _walk_transient(40_000)
+    assert long <= short + OBJECT_SLACK, (short, long)
+
+
+def _loop_transient(n_steps):
+    """The transient of draining `_stepping_loop` for a 2-dim flow with the
+    nonlinear gradient tanh(x) over n_steps steps, checked every 10, beyond
+    the inputs it is handed; a 300-step drain first takes the first-use
+    allocations."""
+    grad = lambda x, j: np.tanh(x)  # noqa: E731
+    h, x0 = ag.squared_euclidean(2), np.array([0.5, -0.5])
+
+    def drain(n):
+        cfg = ag.IntegratorConfig(t0=1.0, t_end=1.0 + n * 1e-3, step=1e-3)
+        _, tgrid = dynamics.half_step_grid(cfg)
+        ea, K, ema = schedules.flow_coefficients(ag.Hyperbolic(0.0).sample(tgrid))
+        events = np.arange(10, n + 1, 10)
+
+        def run():
+            for block in dynamics._stepping_loop(h, grad, ea, K, ema, cfg.step, x0, x0, events):
+                del block
+
+        return run
+
+    drain(300)()
+    return _transient(drain(n_steps))[1]
+
+
+def test_stepping_loop_transient_does_not_grow_with_the_horizon():
+    short, long = _loop_transient(2_000), _loop_transient(8_000)
     assert long <= short + OBJECT_SLACK, (short, long)

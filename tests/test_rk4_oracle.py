@@ -140,6 +140,18 @@ def dense_generator_case():
     )
 
 
+def dense_generator_loop_case():
+    # no declared objective Hessian: the loop steps the dense Hessian solve
+    H = np.array([[1.5, 0.2], [0.2, 0.8]])
+    Q, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
+    return integrate_case(
+        ag.from_quadratic_matrix(H), dataclasses.replace(ag.quadratic(Q, b).objective, hessian=None),
+        ag.PolynomialDamping(3.0), (1.0, 3.0), np.array([1.0, -1.0]), np.array([-0.5, 0.25]),
+        grad_h=lambda p: H @ p, hessian_solve=lambda z, g: np.linalg.solve(H, g),
+        grad_f=lambda t, x: Q @ x - b,
+    )
+
+
 def flat_quadratic_case():
     a = np.array([[1.0, 1.0]])
     spec = ag.flat_quadratic(a, np.array([2.0]))
@@ -169,6 +181,7 @@ CASES = {
     "diagonal_generator": ("stepping_loop", diagonal_generator_case),
     "entropy_generator": ("stepping_loop", entropy_generator_case),
     "positive_pi": ("stepping_loop", positive_pi_case),
+    "dense_generator_loop": ("stepping_loop", dense_generator_loop_case),
     "dense_generator": ("composed_maps", dense_generator_case),
     "flat_quadratic": ("composed_maps", flat_quadratic_case),
     "six_modes": ("composed_maps", six_mode_case),
