@@ -275,23 +275,21 @@ def diagonal_quadratic(weights) -> DistanceGenerator:
     )
 
 
-def _simplex_sampler(dim: int, margin: float) -> Callable[[np.random.Generator], Vector]:
+def negative_entropy(dim: int) -> DistanceGenerator:
+    """h(x) = sum_i x_i log x_i on the positive orthant.
+
+    The induced divergence on probability vectors is the KL divergence.
+    Sampled checks draw from the interior of the simplex with coordinate
+    margin 1e-3; on that region hess_h = diag(1/x) >= I.
+    """
+    margin = 1e-3
+    if dim < 1 or not margin < 1.0 / dim:
+        raise ConfigurationError("need dim >= 1 and 0 < margin < 1/dim")
+
     def draw(rng: np.random.Generator) -> Vector:
         p = rng.dirichlet(np.ones(dim))
         return (1.0 - dim * margin) * p + margin
 
-    return draw
-
-
-def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
-    """h(x) = sum_i x_i log x_i on the positive orthant.
-
-    The induced divergence on probability vectors is the KL divergence.
-    Sampled checks draw from the interior of the simplex with the given
-    coordinate margin; on that region hess_h = diag(1/x) >= I.
-    """
-    if dim < 1 or not 0 < margin < 1.0 / dim:
-        raise ConfigurationError("need dim >= 1 and 0 < margin < 1/dim")
     return DistanceGenerator(
         dim=dim,
         value=lambda x: np.sum(x * np.log(x), axis=-1),
@@ -300,7 +298,7 @@ def negative_entropy(dim: int, margin: float = 1e-3) -> DistanceGenerator:
         symmetric=False,
         domain_guard=lambda x: bool((x > 0).all() and np.isfinite(x).all()),
         name="negative_entropy",
-        sample_point=_simplex_sampler(dim, margin),
+        sample_point=draw,
         sample_region=f"interior simplex, margin {margin:g}",
     )
 

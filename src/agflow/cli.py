@@ -21,13 +21,13 @@ from .config import SMOOTHING_DEFAULTS, ExperimentConfig, load_config
 from .dynamics import integrate, write_table
 from .errors import (
     ConfigurationError,
+    DomainError,
     FitError,
     MappingError,
     NumericalError,
     PreconditionError,
     ScheduleError,
     TimeDomainError,
-    UnsupportedFamilyError,
 )
 from .schedules import (
     ConstantDamping,
@@ -45,11 +45,11 @@ EXIT_NUMERICAL = 3
 
 _CONFIG_ERRORS = (
     ConfigurationError,
+    DomainError,
     TimeDomainError,
     PreconditionError,
     MappingError,
     ScheduleError,
-    UnsupportedFamilyError,
 )
 
 

@@ -43,7 +43,3 @@ class FitError(RuntimeError):
 
 class ScheduleError(ValueError):
     """A smoothing-parameter schedule is invalid on the horizon."""
-
-
-class UnsupportedFamilyError(ValueError):
-    """The requested closed form is unavailable for this family."""

@@ -112,10 +112,7 @@ def l1_subgradient_gap(y, w: float, xstar) -> float:
     y = np.asarray(y, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     resid = xstar - y
-    worst = 0.0
-    for i in range(y.size):
-        if xstar[i] == 0.0:
-            worst = max(worst, max(0.0, abs(resid[i]) - w))
-        else:
-            worst = max(worst, abs(resid[i] + w * np.sign(xstar[i])))
-    return worst
+    at_zero = np.maximum(np.abs(resid) - w, 0.0)
+    elsewhere = np.abs(resid + w * np.sign(xstar))
+    gap = np.where(xstar == 0.0, at_zero, elsewhere)
+    return float(np.max(gap, initial=0.0))

@@ -225,13 +225,10 @@ class PolynomialDamping(ScheduleFamily):
     default_t0 = 1.0
     sigma = 0.0
 
-    def __init__(self, C: float, t_min: float = 1e-3):
+    def __init__(self, C: float):
         if C <= 0:
             raise ConfigurationError("C must be positive")
-        if t_min <= 0:
-            raise ConfigurationError("t_min must be positive")
         self.C = float(C)
-        self.t_min = float(t_min)
         self.certified_rate = ("polynomial", min(2.0 * self.C / 3.0, 2.0))
         self.exp_pi_value = abs(3.0 - self.C) / (2.0 * self.C)
 
@@ -481,7 +478,6 @@ def from_beta_parameterization(
     alpha_dot: Callable,
     sigma: float,
     grid: np.ndarray,
-    t_min: Optional[float] = None,
 ) -> CustomSchedule:
     """Map the (beta, alpha) rate parameterization of earlier momentum-flow
     formulations onto this package's schedule fields.
@@ -490,7 +486,7 @@ def from_beta_parameterization(
     delta_dot = alpha_dot + exp(alpha) + beta_dot, with exp(pi) = 0.  It is
     admissible when 0 <= beta_dot(t) <= exp(alpha(t)) on the grid; the
     resulting schedule passes `check_general` by construction, with the
-    second slack identically zero.
+    second slack identically zero.  The schedule starts at grid[0].
     """
     grid = np.asarray(grid, dtype=float)
     if sigma < 0:
@@ -523,7 +519,7 @@ def from_beta_parameterization(
         eta_dot=eta_dot,
         nu=beta,
         nu_dot=beta_dot,
-        t_min=float(grid[0]) if t_min is None else float(t_min),
+        t_min=float(grid[0]),
         default_t0=float(grid[0]),
         description="beta-parameterization mapping",
         sigma=sigma,

@@ -4,11 +4,11 @@ An approximation f~(x, mu) sandwiches the base objective,
 
     f~(x, mu) <= f(x) <= f~(x, mu) + beta_s * mu,
 
-is (alpha_s/mu)-smooth in x, and (for the Lipschitz-continuous variant) keeps
--beta_s <= d f~/d mu <= 0.  Driving the flow with grad_x f~(x, mu(t)) and a
-rate-preserving mu(t) keeps the smooth-case convergence rate: the Lyapunov
-function may grow by at most beta_s * int(nu_dot e^nu mu), which the chosen
-mu makes finite.
+is (alpha_s/mu)-smooth in x for mu <= MU_MAX, and (for the
+Lipschitz-continuous variant) keeps -beta_s <= d f~/d mu <= 0.  Driving the
+flow with grad_x f~(x, mu(t)) and a rate-preserving mu(t) keeps the
+smooth-case convergence rate: the Lyapunov function may grow by at most
+beta_s * int(nu_dot e^nu mu), which the chosen mu makes finite.
 """
 
 from __future__ import annotations
@@ -21,11 +21,16 @@ import numpy as np
 
 from .bregman import DistanceGenerator, Objective, row_values
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core
-from .errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
+from .errors import ConfigurationError, ScheduleError
 from .lyapunov import Smoothed
-from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, ScheduleFamily
+from .schedules import ScheduleFamily
 
 Vector = np.ndarray
+
+# The largest mu an approximation is certified for: a smooth part adds
+# L * MU_MAX to alpha_s, `certify_smooth_approx` samples mu <= MU_MAX, and
+# `SmoothingSchedule.on_grid` rejects a run whose mu(t) exceeds it.
+MU_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,18 @@ class SmoothingSchedule:
 
     def on_grid(self, t: np.ndarray) -> np.ndarray:
         """mu at the times `t`, evaluated once, vectorized; raises
-        ScheduleError unless it is positive, finite and nonincreasing there."""
+        ScheduleError unless it is positive, finite and nonincreasing there,
+        and at most MU_MAX at t[0], the range the approximation is certified on."""
         mu = row_values("mu", self.mu(t), np.shape(t))
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
             raise ScheduleError("mu(t) must be positive and finite on the horizon")
         if np.any(np.diff(mu) > 1e-12 * np.max(mu)):
             raise ScheduleError("mu(t) must be nonincreasing on the horizon")
+        if mu[0] > MU_MAX:
+            raise ScheduleError(
+                f"mu(t0) = {mu[0]:g} exceeds MU_MAX = {MU_MAX:g}, the largest mu "
+                "the approximation is certified for; start the run later"
+            )
         return mu
 
 
@@ -86,13 +97,6 @@ class CertReport:
     seed: int
 
     to_dict = dataclasses.asdict
-
-
-def _huber_value(x: Vector, w: Vector, mu: float) -> float:
-    ax = np.abs(x)
-    inside = ax <= mu
-    vals = np.where(inside, x * x / (2.0 * mu), ax - 0.5 * mu)
-    return np.sum(w * vals, axis=-1)
 
 
 def huber_l1(weights) -> SmoothApproximation:
@@ -116,20 +120,26 @@ def huber_l1(weights) -> SmoothApproximation:
         name="weighted_l1",
     )
 
+    # each takes any array-like x: the first ufunc on x makes it an array
+    def value(x, mu):
+        ax = np.abs(x)
+        vals = np.where(ax <= mu, ax * ax / (2.0 * mu), ax - 0.5 * mu)
+        return np.sum(w * vals, axis=-1)
+
     def grad_x(x, mu):
         # x / mu inside |x| <= mu and sign(x) beyond, bit for bit, as the
         # ratio clipped to [-1, 1]: three ufuncs instead of five
-        return w * np.minimum(np.maximum(x / mu, -1.0), 1.0)
+        return w * np.minimum(np.maximum(np.divide(x, mu), -1.0), 1.0)
 
     def grad_mu(x, mu):
         ax = np.abs(x)
-        per = np.where(ax <= mu, -x * x / (2.0 * mu * mu), -0.5)
+        per = np.where(ax <= mu, -ax * ax / (2.0 * mu * mu), -0.5)
         return np.sum(w * per, axis=-1)
 
     return SmoothApproximation(
-        value=lambda x, mu: _huber_value(np.asarray(x, dtype=float), w, mu),
-        grad_x=lambda x, mu: grad_x(np.asarray(x, dtype=float), mu),
-        grad_mu=lambda x, mu: grad_mu(np.asarray(x, dtype=float), mu),
+        value=value,
+        grad_x=grad_x,
+        grad_mu=grad_mu,
         alpha_s=float(np.max(w)) if w.size else 0.0,
         beta_s=0.5 * float(np.sum(w)),
         base=base,
@@ -137,50 +147,36 @@ def huber_l1(weights) -> SmoothApproximation:
     )
 
 
-def _smooth_part_alpha(
-    smooth: Objective, mu_max: float = 1.0, l_smooth: Optional[float] = None
-) -> float:
-    """L * mu_max, what a smooth term with L-Lipschitz gradient adds to alpha_s
-    for mu <= mu_max.  L is the largest eigenvalue of `smooth.hessian` where
-    that is declared, `l_smooth` otherwise."""
-    if mu_max <= 0:
-        raise ConfigurationError("mu_max must be positive")
-    if (smooth.hessian is None) == (l_smooth is None):
-        raise ConfigurationError(
-            "give l_smooth exactly when the smooth part declares no constant Hessian"
-        )
-    if smooth.hessian is not None:
-        l_smooth = float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1])
-    elif not l_smooth >= 0:
-        raise ConfigurationError("l_smooth must be nonnegative")
-    return l_smooth * mu_max
+def _smooth_part_alpha(smooth: Objective) -> float:
+    """L * MU_MAX, what a smooth term adds to alpha_s for mu <= MU_MAX, where
+    L is the largest eigenvalue of its declared constant `smooth.hessian`."""
+    if smooth.hessian is None:
+        raise ConfigurationError("the smooth part must declare a constant Hessian")
+    return float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1]) * MU_MAX
 
 
 def add_smooth_part(
-    a: SmoothApproximation,
-    smooth: Objective,
-    combined_base: Objective,
-    mu_max: float = 1.0,
-    l_smooth: Optional[float] = None,
+    a: SmoothApproximation, smooth: Objective, combined_base: Objective
 ) -> SmoothApproximation:
     """Approximation of (smooth + nonsmooth): add a mu-independent smooth term.
 
-    The sandwich and the d/d mu band carry over unchanged.  If the smooth
-    part's gradient is L-Lipschitz, the sum is (alpha_s + L mu_max)/mu-smooth
-    for every mu <= mu_max, so alpha_s grows by L * mu_max (`_smooth_part_alpha`).
+    The sandwich and the d/d mu band carry over unchanged.  The smooth part
+    must declare its constant Hessian, whose largest eigenvalue L bounds its
+    gradient's Lipschitz constant; the sum is (alpha_s + L MU_MAX)/mu-smooth
+    for every mu <= MU_MAX, so alpha_s grows by L * MU_MAX (`_smooth_part_alpha`).
     """
     return SmoothApproximation(
         value=lambda x, mu: smooth.value(x) + a.value(x, mu),
         grad_x=lambda x, mu: smooth.gradient(x) + a.grad_x(x, mu),
         grad_mu=a.grad_mu,
-        alpha_s=a.alpha_s + _smooth_part_alpha(smooth, mu_max, l_smooth),
+        alpha_s=a.alpha_s + _smooth_part_alpha(smooth),
         beta_s=a.beta_s,
         base=combined_base,
         name=f"{a.name}+{smooth.name}",
     )
 
 
-def l1_denoise_approximation(y, w: float, mu_max: float = 1.0):
+def l1_denoise_approximation(y, w: float):
     """Huber-smoothed approximation of (1/2)||x - y||^2 + w ||x||_1."""
     from .problems import l1_denoise
 
@@ -194,7 +190,7 @@ def l1_denoise_approximation(y, w: float, mu_max: float = 1.0):
         name="half_squared_distance",
         hessian=np.eye(y.size),
     )
-    approx = add_smooth_part(huber_l1(np.full(y.size, w)), quad, spec.objective, mu_max=mu_max)
+    approx = add_smooth_part(huber_l1(np.full(y.size, w)), quad, spec.objective)
     return approx, spec
 
 
@@ -223,14 +219,14 @@ def certify_smooth_approx(
     a: SmoothApproximation,
     num_samples: int,
     seed: int,
-    mu_max: float = 1.0,
     tolerance: float = 1e-9,
 ) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
     Sample i is x_i, y_i ~ U[-2, 2]^n (`_CERT_BOX`) and mu_i ~ U[1e-3,
-    mu_max], drawn in that order; the draws are taken and checked in row
+    MU_MAX], drawn in that order, so the report covers every run that
+    `SmoothingSchedule.on_grid` admits; the draws are taken and checked in row
     batches of `_CERT_CHUNK` samples.  Each callable must take row batches
     (README, "Row batches"): a result of the wrong shape, or one whose first
     row differs from a one-point call, raises `ConfigurationError`.
@@ -248,7 +244,7 @@ def certify_smooth_approx(
         # low + (high - low) * u is how Generator.uniform scales its draws
         x = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, :dim]
         y = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, dim : 2 * dim]
-        mu_col = 1e-3 + (mu_max - 1e-3) * u[:, 2 * dim :]
+        mu_col = 1e-3 + (MU_MAX - 1e-3) * u[:, 2 * dim :]
         mu = mu_col[:, 0]
         x0, mu0 = x[0], float(mu[0])
         fx = _row_batch("base.value", a.base.value(x), (m,), a.base.value(x0))
@@ -284,17 +280,15 @@ def rate_preserving_mu(
     """mu(t) making nu_dot e^nu mu(t) equal e^(-epsilon t) (exponential kind)
     or t^-(1+epsilon) (polynomial kind), so the growth budget stays finite.
 
-    Needs the family's nu_dot and e^nu in closed form; supported for the
-    shipped constant/hyperbolic/polynomial families.
+    Holds for any family: mu = target / (nu_dot e^nu) is read off the
+    family's samples, and the budget is the target's integral in closed
+    form.  A run rejects (`SmoothingSchedule.on_grid`) a mu that is not
+    positive, finite and nonincreasing, or that exceeds MU_MAX at t0.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
     if kind not in ("exponential", "polynomial"):
         raise ConfigurationError(f"unknown kind {kind!r}")
-    if not isinstance(family, (ConstantDamping, Hyperbolic, PolynomialDamping)):
-        raise UnsupportedFamilyError(
-            f"no closed-form nu for family {getattr(family, 'name', family)!r}"
-        )
 
     def flow_weight(t):
         s = family.sample(t)
@@ -358,8 +352,8 @@ def with_exact_smooth_objective(f: Objective) -> SmoothApproximation:
     """Wrap a smooth objective as its own approximation (f~ = f, grad_mu = 0).
 
     Satisfies the band trivially; with mu -> 0 the smoothed Lyapunov value
-    reduces to the standard one.  alpha_s follows `add_smooth_part`'s rule at
-    mu_max = 1: L, the largest eigenvalue of the declared `f.hessian`.
+    reduces to the standard one.  alpha_s follows `add_smooth_part`'s rule:
+    L * MU_MAX, for L the largest eigenvalue of the declared `f.hessian`.
     """
     if not f.smooth or f.hessian is None:
         raise ConfigurationError("objective must be smooth and declare a constant Hessian")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import agflow.cli as cli
-from agflow import dynamics, lyapunov, problems, schedules
+from agflow import dynamics, errors, lyapunov, problems, schedules, smoothing
 from agflow.config import ExperimentConfig, load_config
 from agflow.errors import ConfigurationError
 
@@ -340,6 +340,53 @@ def test_l1_denoise_without_smoothing_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "[smoothing]" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_smoothed_run_with_mu_above_mu_max_exits_two(tmp_path, capsys):
+    # from t0 = 0.1 the rate-preserving mu(t0) = e^-0.05 / 0.2 = 4.76, past
+    # the mu range its certificate samples
+    text = SMOOTH_DEMO_CFG.format(out=tmp_path / "o").replace("t0 = 1\n", "t0 = 0.1\n")
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, text), "--quiet"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mu(t0) = 4.7") and f"MU_MAX = {smoothing.MU_MAX:g}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factor, code", [(2.0, 1), (0.5, 0)])
+def test_nu_dot_factor_is_a_negative_control_for_smoothed_runs(tmp_path, factor, code):
+    # nu_dot scaled by 2 overstates the rate and the energy grows; by 0.5 it
+    # understates it and the run passes
+    text = SMOOTH_DEMO_CFG.format(out=tmp_path / "o")
+    text = text.replace("sigma = 0\n", f"sigma = 0\nnu_dot_factor = {factor}\n")
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, text), "--quiet"]) == code
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["monotonicity"]["passed"] is (code == 0)
+    assert summary["certification"]["passed"] is True
+
+
+def _error_classes():
+    return [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, cls):
+    if issubclass(cls, ValueError):
+        code = cli.EXIT_CONFIG_ERROR
+    elif issubclass(cls, errors.NumericalError):
+        code = cli.EXIT_NUMERICAL
+    else:
+        assert cls is errors.FitError
+        code = cli.EXIT_CHECK_FAILURE
+
+    def command(args):
+        raise cls("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_reproduce_table", command)
+    assert cli.main(["reproduce-table", "--quiet"]) == code
+    assert capsys.readouterr().err.endswith(": raised by the command\n")
 
 
 @pytest.mark.parametrize("variant", ["standard", "symmetric"])

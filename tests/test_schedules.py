@@ -9,7 +9,6 @@ from agflow.errors import (
     MappingError,
     PreconditionError,
     TimeDomainError,
-    UnsupportedFamilyError,
 )
 from agflow.schedules import alpha_ode_residual
 
@@ -323,8 +322,6 @@ def test_with_modified_nu_samples_its_base_once():
     assert fam.describe() == {
         "family": "custom", "description": "polynomial with nu scaled by 0.5 and shifted by 2"
     }
-    with pytest.raises(UnsupportedFamilyError):
-        ag.rate_preserving_mu(fam, 0.5, "exponential")
 
 
 def test_with_modified_nu_only_touches_nu():

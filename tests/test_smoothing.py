@@ -7,8 +7,8 @@ import pytest
 import agflow as ag
 from agflow import lyapunov
 from agflow.dynamics import _integrate_core
-from agflow.errors import ConfigurationError, ScheduleError, UnsupportedFamilyError
-from agflow.smoothing import SmoothApproximation, add_smooth_part
+from agflow.errors import ConfigurationError, ScheduleError
+from agflow.smoothing import MU_MAX, SmoothApproximation, add_smooth_part
 
 
 def test_huber_values_at_reference_points():
@@ -78,7 +78,7 @@ def test_certification_catches_understated_beta():
 def test_smooth_objective_as_own_approximation_passes():
     spec = ag.quadratic(np.eye(2), np.zeros(2))
     a = ag.with_exact_smooth_objective(spec.objective)
-    rep = ag.certify_smooth_approx(a, num_samples=500, seed=3, mu_max=0.5)
+    rep = ag.certify_smooth_approx(a, num_samples=500, seed=3)
     assert rep.passed
     assert rep.max_band_violation <= 0.0
 
@@ -142,10 +142,14 @@ def test_budget_closed_form_and_tail():
     assert mu.budget(10.0, 20.0) <= 0.05 * mu.budget(t0, 20.0)
 
 
-def test_rate_preserving_mu_rejects_custom_family():
+def test_rate_preserving_mu_on_a_custom_family():
+    # mu = target / (nu_dot e^nu) needs no closed form of the family
     fam = ag.with_modified_nu(ag.ConstantDamping(2.0, 1.0), shift=1.0)
-    with pytest.raises(UnsupportedFamilyError):
-        ag.rate_preserving_mu(fam, 0.5, "exponential")
+    mu = ag.rate_preserving_mu(fam, 0.5, "exponential")
+    for t in (0.5, 1.0, 3.0):
+        s = fam.sample(t)
+        assert mu.mu(t) == pytest.approx(np.exp(-0.5 * t) / (s.nu_dot * np.exp(s.nu)), rel=1e-12)
+    assert mu.budget(1.0, 3.0) == pytest.approx(2.0 * (np.exp(-0.5) - np.exp(-1.5)), rel=1e-12)
     with pytest.raises(ConfigurationError):
         ag.rate_preserving_mu(ag.Hyperbolic(1.0), -0.5, "exponential")
     with pytest.raises(ConfigurationError):
@@ -302,7 +306,7 @@ def test_nonsmooth_objective_needs_a_smoothed_variant(variant):
         ag.integrate(spec.generator, spec.objective, ag.Hyperbolic(0.0), cfg, np.zeros(2), variant=variant)
 
 
-def per_sample_certificate(a, num_samples, seed, box=2.0, mu_max=1.0, tolerance=1e-9):
+def per_sample_certificate(a, num_samples, seed, box=2.0, tolerance=1e-9):
     """The certification one (x, y, mu) draw at a time."""
     rng = np.random.default_rng(seed)
     dim = a.base.dim
@@ -310,7 +314,7 @@ def per_sample_certificate(a, num_samples, seed, box=2.0, mu_max=1.0, tolerance=
     for _ in range(num_samples):
         x = rng.uniform(-box, box, size=dim)
         y = rng.uniform(-box, box, size=dim)
-        mu = rng.uniform(1e-3, mu_max)
+        mu = rng.uniform(1e-3, MU_MAX)
         fx = float(a.base.value(x))
         fax = float(a.value(x, mu))
         sandwich = max(sandwich, fax - fx, fx - fax - a.beta_s * mu)
@@ -426,18 +430,16 @@ def test_add_smooth_part_derives_smoothness_from_hessian(hessian):
     assert derived.alpha_s == pytest.approx(huber.alpha_s + 10.0, rel=1e-12)
     assert ag.certify_smooth_approx(derived, num_samples=3000, seed=0).passed
     # the constant L = 1 once hard-coded for every smooth part
-    unit = add_smooth_part(huber, dataclasses.replace(smooth, hessian=None), base, l_smooth=1.0)
+    unit = dataclasses.replace(derived, alpha_s=huber.alpha_s + 1.0)
     rep = ag.certify_smooth_approx(unit, num_samples=3000, seed=0)
     assert not rep.passed
     assert rep.max_smoothness_ratio > 1.5
 
 
-def test_add_smooth_part_needs_exactly_one_lipschitz_source():
+def test_add_smooth_part_needs_a_declared_hessian():
     huber = ag.huber_l1(np.ones(2))
     smooth, base = steep_problem(np.eye(2), np.zeros(2), 1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="Hessian"):
         add_smooth_part(huber, dataclasses.replace(smooth, hessian=None), base)
-    with pytest.raises(ConfigurationError):
-        add_smooth_part(huber, smooth, base, l_smooth=1.0)
     approx, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
     assert approx.alpha_s == 2.0
