@@ -166,17 +166,18 @@ def three_point_residual(h: DistanceGenerator, x1: Vector, x2: Vector, x3: Vecto
     return abs(lhs - rhs)
 
 
+# The tolerance of `check_uniform_convexity` and `check_symmetry`.
+SAMPLED_TOLERANCE = 1e-10
+
+
 def check_uniform_convexity(
-    f: Objective,
-    h: DistanceGenerator,
-    num_samples: int,
-    seed: int,
-    tolerance: float = 1e-10,
+    f: Objective, h: DistanceGenerator, num_samples: int, seed: int
 ) -> ConvexityReport:
     """Sampled check of D_f(y, x) >= sigma * D_h(y, x).
 
     Draws pairs from the generator's sampling region and reports the minimum
-    slack D_f - sigma * D_h; the check passes iff it stays above -tolerance.
+    slack D_f - sigma * D_h; the check passes iff it stays above
+    -SAMPLED_TOLERANCE.
     This certifies the inequality on the sampled region only.
     """
     if num_samples < 1:
@@ -195,23 +196,19 @@ def check_uniform_convexity(
         if slack < min_slack:
             min_slack = slack
     return ConvexityReport(
-        passed=bool(min_slack >= -tolerance),
+        passed=bool(min_slack >= -SAMPLED_TOLERANCE),
         min_slack=float(min_slack),
         sigma=float(f.sigma),
         num_samples=int(num_samples),
         seed=int(seed),
         region=h.sample_region,
-        tolerance=float(tolerance),
+        tolerance=SAMPLED_TOLERANCE,
     )
 
 
-def check_symmetry(
-    h: DistanceGenerator,
-    num_samples: int,
-    seed: int,
-    tolerance: float = 1e-10,
-) -> SymmetryReport:
-    """Sampled check of D_h(x, y) = D_h(y, x), scaled by 1 + |D_h(x, y)|."""
+def check_symmetry(h: DistanceGenerator, num_samples: int, seed: int) -> SymmetryReport:
+    """Sampled check of D_h(x, y) = D_h(y, x), scaled by 1 + |D_h(x, y)|, to
+    SAMPLED_TOLERANCE."""
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -226,12 +223,12 @@ def check_symmetry(
         worst = max(worst, gap)
         worst_scaled = max(worst_scaled, gap / (1.0 + abs(d_xy)))
     return SymmetryReport(
-        passed=bool(worst_scaled <= tolerance),
+        passed=bool(worst_scaled <= SAMPLED_TOLERANCE),
         max_asymmetry=float(worst),
         max_scaled_asymmetry=float(worst_scaled),
         num_samples=int(num_samples),
         seed=int(seed),
-        tolerance=float(tolerance),
+        tolerance=SAMPLED_TOLERANCE,
     )
 
 

@@ -29,14 +29,7 @@ from .errors import (
     ScheduleError,
     TimeDomainError,
 )
-from .schedules import (
-    ConstantDamping,
-    Hyperbolic,
-    PolynomialDamping,
-    check_general,
-    check_general2,
-    time_grid,
-)
+from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, time_grid
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -57,25 +50,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _condition_report(family, sigma, grid, symmetric: bool):
-    """`check_general2` where the schedule carries exp(pi) > 0 on the grid,
-    `check_general` otherwise, from one sample of the grid."""
-    s = family.sample(grid)
-    if np.any(np.asarray(s.exp_pi) > 0):
-        return check_general2(family, sigma, symmetric, grid, sample=s)
-    return check_general(family, sigma, grid, sample=s)
+def _problem_and_variant(cfg: ExperimentConfig, family):
+    """The configured problem and Lyapunov variant, None for `auto`."""
+    if cfg.smoothing is None:
+        variant = {"standard": lyapunov.Standard(), "symmetric": lyapunov.Symmetric()}.get(cfg.variant)
+        return cfg.build_problem(), variant
+    # the approximation comes with its l1_denoise problem
+    approx, spec = smoothing.l1_denoise_approximation(cfg.problem_params["y"], cfg.problem_params["w"])
+    mu_sched = smoothing.rate_preserving_mu(family, cfg.smoothing["epsilon"], cfg.smoothing["kind"])
+    return spec, lyapunov.Smoothed(approx, mu_sched)
 
 
 def _run_experiment(cfg: ExperimentConfig):
     """Build and integrate one configured run; returns (trajectory, spec, family)."""
     family = cfg.build_family()
-    if cfg.smoothing is None:
-        spec = cfg.build_problem()
-        variant = {"standard": lyapunov.Standard(), "symmetric": lyapunov.Symmetric()}.get(cfg.variant)
-    else:  # the approximation comes with its l1_denoise problem
-        approx, spec = smoothing.l1_denoise_approximation(cfg.problem_params["y"], cfg.problem_params["w"])
-        mu_sched = smoothing.rate_preserving_mu(family, cfg.smoothing["epsilon"], cfg.smoothing["kind"])
-        variant = lyapunov.Smoothed(approx, mu_sched)
+    spec, variant = _problem_and_variant(cfg, family)
     icfg = cfg.build_integrator(family)
     x0, v0 = cfg.initial_point(spec.objective.dim)
     traj = integrate(spec.generator, spec.objective, family, icfg, x0, v0, variant=variant)
@@ -85,14 +74,11 @@ def _run_experiment(cfg: ExperimentConfig):
 def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
     """The run's reports and its verdict; a smoothed run also certifies its
     approximation on 10 000 samples drawn from `cfg.seed`."""
-    mono = lyapunov.monotonicity_report(
-        traj, tolerance=cfg.tol_mono_scale * max(1.0, traj.records.V[0])
-    )
-    bounds = lyapunov.bound_check(traj, rel_tolerance=cfg.bound_rel_tol)
-    integrals = lyapunov.integral_estimates(traj, rel_tolerance=cfg.integral_rel_tol)
-    sigma = traj.metadata["sigma"]
+    mono = lyapunov.monotonicity_report(traj)
+    bounds = lyapunov.bound_check(traj)
+    integrals = lyapunov.integral_estimates(traj)
     grid = time_grid(traj.times[0], traj.times[-1], cfg.grid_num)
-    conditions = _condition_report(family, sigma, grid, traj.h.symmetric)
+    conditions = lyapunov.check_conditions(traj.variant, family, traj.metadata["sigma"], grid)
     summary = {
         "metadata": traj.metadata,
         "monotonicity": mono.to_dict(),
@@ -154,10 +140,14 @@ def cmd_check_assumptions(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     family = cfg.build_family()
+    spec, variant = _problem_and_variant(cfg, family)
     t0 = family.default_t0 if cfg.t0 is None else cfg.t0
     grid = time_grid(max(t0, family.t_min), cfg.t_end, cfg.grid_num)
     sigma = 0.0 if family.sigma is None else family.sigma
-    report = _condition_report(family, sigma, grid, symmetric=True)
+    # the conditions that `simulate` would certify for this config
+    s = family.sample(grid)
+    variant = lyapunov.resolve_variant(variant, spec.generator, s.exp_pi)[0]
+    report = lyapunov.check_conditions(variant, family, sigma, grid, sample=s)
     names = ["t", "slack1", "slack2", "slack3", "slack4"]
     write_table(out / "slacks.csv", names, [grid, report.slacks.T])
     _write_json(out / "assumptions.json", report.to_dict())

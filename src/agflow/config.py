@@ -69,9 +69,6 @@ class ExperimentConfig:
     record_stride: int = IntegratorConfig.record_stride
     grid_num: int = 1001
     variant: str = "auto"
-    tol_mono_scale: float = 1e-8
-    bound_rel_tol: float = 1e-6
-    integral_rel_tol: float = 1e-3
     x0: Optional[np.ndarray] = None
     v0: Optional[np.ndarray] = None
     fit: Optional[dict] = None
@@ -111,7 +108,9 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read and validate a config; a section or key it does not read is an error."""
+    # no [DEFAULT] section reaching into the others: such a header is unknown
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh, source=path)
@@ -120,75 +119,74 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
 
-    def need(section: str) -> configparser.SectionProxy:
-        if not parser.has_section(section):
+    seen = set()  # the sections, and (section, key) pairs, the loader asks for
+
+    def has(section: str) -> bool:
+        seen.add(section)
+        return parser.has_section(section)
+
+    def need(section: str) -> None:
+        if not has(section):
             raise ConfigurationError(f"missing required section [{section}]")
-        return parser[section]
+
+    def text(section, key, default=None):
+        seen.update((section, (section, key)))
+        return parser.get(section, key).strip() if parser.has_option(section, key) else default
+
+    def vector(section, key, default=None, parse=_parse_vector):
+        raw = text(section, key)
+        return default if raw is None else parse(raw, f"[{section}].{key}")
 
     def get_float(section, key, default=None, required=False):
-        if parser.has_option(section, key):
-            try:
-                value = parser.getfloat(section, key)
-            except ValueError as exc:
-                raise ConfigurationError(f"[{section}].{key}: not a number") from exc
-            # NaN would pass every range check below, and inf makes checks vacuous
-            if not math.isfinite(value):
-                raise ConfigurationError(f"[{section}].{key} must be finite, got {value}")
-            return value
-        if required:
-            raise ConfigurationError(f"[{section}].{key} is required")
-        return default
+        raw = text(section, key)
+        if raw is None:
+            if required:
+                raise ConfigurationError(f"[{section}].{key} is required")
+            return default
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"[{section}].{key}: not a number") from exc
+        # NaN would pass every range check below, and inf makes checks vacuous
+        if not math.isfinite(value):
+            raise ConfigurationError(f"[{section}].{key} must be finite, got {value}")
+        return value
 
     def get_int(section, key, default):
-        if parser.has_option(section, key):
-            try:
-                return parser.getint(section, key)
-            except ValueError as exc:
-                raise ConfigurationError(f"[{section}].{key}: not an integer") from exc
-        return default
+        raw = text(section, key)
+        try:
+            return default if raw is None else int(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"[{section}].{key}: not an integer") from exc
 
-    prob = need("problem")
-    kind = prob.get("kind", "").strip()
+    need("problem")
+    kind = text("problem", "kind", "")
     if kind not in PROBLEM_KINDS:
-        raise ConfigurationError(
-            f"[problem].kind must be one of {PROBLEM_KINDS}, got {kind!r}"
-        )
-    params: dict = {}
+        raise ConfigurationError(f"[problem].kind must be one of {PROBLEM_KINDS}, got {kind!r}")
     if kind == "quadratic":
-        if "q_diag" in prob:
-            params["Q"] = np.diag(_parse_vector(prob["q_diag"], "[problem].q_diag"))
-        elif "q_rows" in prob:
-            params["Q"] = _parse_matrix(prob["q_rows"], "[problem].q_rows")
-        else:
+        diag = vector("problem", "q_diag")
+        Q = vector("problem", "q_rows", parse=_parse_matrix) if diag is None else np.diag(diag)
+        if Q is None:
             raise ConfigurationError("[problem]: quadratic needs q_diag or q_rows")
-        n = params["Q"].shape[0]
-        params["b"] = (
-            _parse_vector(prob["b"], "[problem].b") if "b" in prob else np.zeros(n)
-        )
+        params = {"Q": Q, "b": vector("problem", "b", np.zeros(Q.shape[0]))}
     elif kind == "flat_quadratic":
-        if "a_rows" not in prob:
+        A = vector("problem", "a_rows", parse=_parse_matrix)
+        if A is None:
             raise ConfigurationError("[problem]: flat_quadratic needs a_rows")
-        params["A"] = _parse_matrix(prob["a_rows"], "[problem].a_rows")
-        params["b"] = (
-            _parse_vector(prob["b"], "[problem].b")
-            if "b" in prob
-            else np.zeros(params["A"].shape[0])
-        )
+        params = {"A": A, "b": vector("problem", "b", np.zeros(A.shape[0]))}
     else:
-        if "y" not in prob:
+        params = {"y": vector("problem", "y")}
+        if params["y"] is None:
             raise ConfigurationError("[problem]: l1_denoise needs y")
-        params["y"] = _parse_vector(prob["y"], "[problem].y")
         params["w"] = get_float("problem", "w", default=1.0)
 
-    sched = need("schedule")
-    family_kind = sched.get("family", "").strip()
+    need("schedule")
+    family_kind = text("schedule", "family", "")
     if family_kind not in FAMILIES:
         raise ConfigurationError(
             f"[schedule].family must be one of {tuple(FAMILIES)}, got {family_kind!r}"
         )
-    fparams = {
-        p: get_float("schedule", p.lower(), required=True) for p in FAMILIES[family_kind].params
-    }
+    fparams = {p: get_float("schedule", p.lower(), required=True) for p in FAMILIES[family_kind].params}
     # ExperimentConfig's class attributes are its field defaults
     default = ExperimentConfig
     nu_dot_factor = get_float("schedule", "nu_dot_factor", default=default.nu_dot_factor)
@@ -204,34 +202,21 @@ def load_config(path: str) -> ExperimentConfig:
     t0 = get_float("integrator", "t0", default=default.t0)
     grid_num = get_int("integrator", "grid_num", default.grid_num)
 
-    variant = parser.get("lyapunov", "variant", fallback=default.variant).strip()
+    variant = text("lyapunov", "variant", default.variant)
     if variant not in VARIANT_KINDS:
-        raise ConfigurationError(
-            f"[lyapunov].variant must be one of {VARIANT_KINDS}, got {variant!r}"
-        )
-    tolerances = {
-        key: get_float("lyapunov", key, default=getattr(default, key))
-        for key in ("tol_mono_scale", "bound_rel_tol", "integral_rel_tol")
-    }
-    for key, v in tolerances.items():
-        if v <= 0:
-            raise ConfigurationError(f"[lyapunov].{key} must be positive")
+        raise ConfigurationError(f"[lyapunov].variant must be one of {VARIANT_KINDS}, got {variant!r}")
 
-    x0 = v0 = None
-    if parser.has_section("initial"):
-        if "x0" in parser["initial"]:
-            x0 = _parse_vector(parser["initial"]["x0"], "[initial].x0")
-        if "v0" in parser["initial"]:
-            v0 = _parse_vector(parser["initial"]["v0"], "[initial].v0")
+    x0 = vector("initial", "x0")
+    v0 = vector("initial", "v0")
 
     fit = None
-    if parser.has_section("fit"):
-        model = parser["fit"].get("model", "").strip()
+    if has("fit"):
+        model = text("fit", "model", "")
         if model not in FIT_MODELS:
             raise ConfigurationError(f"[fit].model must be one of {FIT_MODELS}")
         fit = {"model": model}
-        if "window" in parser["fit"]:
-            win = _parse_vector(parser["fit"]["window"], "[fit].window")
+        win = vector("fit", "window")
+        if win is not None:
             if win.size != 2 or win[0] >= win[1]:
                 raise ConfigurationError("[fit].window must be two increasing floats")
             fit["window"] = (float(win[0]), float(win[1]))
@@ -239,14 +224,13 @@ def load_config(path: str) -> ExperimentConfig:
         fit["required"] = get_float("fit", "required", default=None)
 
     smoothing = None
-    if parser.has_section("smoothing"):
-        section = parser["smoothing"]
-        approx = section.get("approximation", SMOOTHING_DEFAULTS["approximation"]).strip()
+    if has("smoothing"):
+        approx = text("smoothing", "approximation", SMOOTHING_DEFAULTS["approximation"])
         if approx != "huber_l1":
             raise ConfigurationError(
                 f"[smoothing].approximation: only 'huber_l1' is shipped, got {approx!r}"
             )
-        kind_s = section.get("kind", SMOOTHING_DEFAULTS["kind"]).strip()
+        kind_s = text("smoothing", "kind", SMOOTHING_DEFAULTS["kind"])
         if kind_s not in ("exponential", "polynomial"):
             raise ConfigurationError("[smoothing].kind must be exponential or polynomial")
         eps = get_float("smoothing", "epsilon", default=SMOOTHING_DEFAULTS["epsilon"])
@@ -263,32 +247,23 @@ def load_config(path: str) -> ExperimentConfig:
             "the l1_denoise problem is nonsmooth and needs a [smoothing] section; no other problem takes one"
         )
 
-    out_dir = parser.get("output", "directory", fallback=default.out_dir).strip()
-    formats = default.formats
-    if parser.has_option("output", "formats"):
-        formats = tuple(parser["output"]["formats"].split())
-        for f in formats:
-            if f not in OUTPUT_FORMATS:
-                raise ConfigurationError(f"[output].formats: unknown format {f!r}")
+    out_dir = text("output", "directory", default.out_dir)
+    formats = tuple(text("output", "formats", " ".join(default.formats)).split())
+    for f in formats:
+        if f not in OUTPUT_FORMATS:
+            raise ConfigurationError(f"[output].formats: unknown format {f!r}")
+    seed = get_int("experiment", "seed", default.seed)
+
+    unread = []
+    for section in parser.sections():
+        keys = [f"[{section}].{key}" for key in parser[section] if (section, key) not in seen]
+        unread += keys if section in seen else [f"[{section}]"]
+    if unread:
+        raise ConfigurationError(f"{', '.join(unread)}: not read by the config grammar (README)")
 
     return ExperimentConfig(
-        problem_kind=kind,
-        problem_params=params,
-        family_kind=family_kind,
-        family_params=fparams,
-        t_end=t_end,
-        nu_dot_factor=nu_dot_factor,
-        t0=t0,
-        step=step,
-        record_stride=record_stride,
-        grid_num=grid_num,
-        variant=variant,
-        **tolerances,
-        x0=x0,
-        v0=v0,
-        fit=fit,
-        smoothing=smoothing,
-        out_dir=out_dir,
-        formats=formats,
-        seed=get_int("experiment", "seed", default.seed),
+        problem_kind=kind, problem_params=params, family_kind=family_kind, family_params=fparams,
+        t_end=t_end, nu_dot_factor=nu_dot_factor, t0=t0, step=step, record_stride=record_stride,
+        grid_num=grid_num, variant=variant, x0=x0, v0=v0, fit=fit, smoothing=smoothing,
+        out_dir=out_dir, formats=formats, seed=seed,
     )

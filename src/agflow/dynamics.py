@@ -349,12 +349,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow and record diagnostics every `record_stride` steps.
 
-    The horizon is snapped to a whole number of steps.  `variant` defaults to
-    the symmetric Lyapunov function when the schedule carries exp(pi) > 0 (and
-    h is symmetric), the standard one otherwise; an f that is not smooth
-    needs a `lyapunov.Smoothed` variant (see `_integrate_core`).  The
-    certificates use the family's sigma, falling back to the objective's
-    (to 0 for a smoothed run).
+    The horizon is snapped to a whole number of steps.  `variant` None is
+    resolved by `lyapunov.resolve_variant` on the half-step grid; an f that
+    is not smooth needs a `lyapunov.Smoothed` variant (see `_integrate_core`).
     """
     return _integrate_core(h, f, family, config, x0, v0, variant=variant)
 
@@ -426,11 +423,7 @@ def _integrate_core(
     if sigma is None:
         sigma = 0.0 if smoothed else f.sigma
 
-    if variant is None:
-        uses_pi = bool(np.any(sg.exp_pi > 0))
-        variant = lyapunov.Symmetric() if (uses_pi and h.symmetric) else lyapunov.Standard()
-    elif isinstance(variant, lyapunov.Symmetric) and not h.symmetric:
-        raise PreconditionError("symmetric variant requires a symmetric generator")
+    variant, fallback = lyapunov.resolve_variant(variant, h, sg.exp_pi)
 
     if f.minimizer is None:
         raise ConfigurationError("objective needs a declared minimizer for diagnostics")
@@ -504,7 +497,7 @@ def _integrate_core(
             "steps": int(n_steps),
             "gradient_evaluations": int(grad_evals),
         },
-        "warnings": warned,
+        "warnings": warned + fallback,
         "x0": [float(v) for v in x0],
         "v0": [float(v) for v in v0],
         "V0": float(diag.V[0]),

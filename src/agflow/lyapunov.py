@@ -13,11 +13,12 @@ accumulated integral estimates stay below V(t0).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
+from . import schedules
 from .bregman import DistanceGenerator, Objective, bregman_div, row_values
 from .errors import ConfigurationError, FitError, PreconditionError
 from .schedules import ScheduleSample, condition_slacks
@@ -46,6 +47,28 @@ class Smoothed:
     mu_schedule: object  # smoothing.SmoothingSchedule
 
     name = "smoothed"
+
+
+def resolve_variant(variant, h: DistanceGenerator, exp_pi) -> tuple:
+    """(variant, warnings): None becomes Symmetric if exp(pi) > 0 somewhere
+    and h is symmetric, else Standard (with a warning if exp(pi) > 0).
+    Symmetric on a non-symmetric h raises PreconditionError."""
+    if isinstance(variant, Symmetric) and not h.symmetric:
+        raise PreconditionError("symmetric variant requires a symmetric generator")
+    if variant is None and np.any(exp_pi > 0):
+        if h.symmetric:
+            return Symmetric(), []
+        warning = f"exp(pi) > 0 needs a symmetric generator, not {h.name}; certifying the standard V"
+        return Standard(), [warning]
+    return Standard() if variant is None else variant, []
+
+
+def check_conditions(variant, family, sigma: float, grid, sample=None):
+    """The conditions that certify `variant`: `check_general2` for Symmetric,
+    else `check_general` (exp(pi) taken as 0); `sample` as there."""
+    if isinstance(variant, Symmetric):
+        return schedules.check_general2(family, sigma, True, grid, sample=sample)
+    return schedules.check_general(family, sigma, grid, sample=sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +151,10 @@ def lyapunov_value(
     state,
     xstar: np.ndarray,
 ) -> float:
-    """Evaluate the variant's V at one flow state."""
+    """Evaluate the variant's V at one flow state (`resolve_variant` resolves None)."""
     if xstar is None:
         raise ConfigurationError("objective has no declared minimizer")
-    if isinstance(variant, Symmetric) and not h.symmetric:
-        raise PreconditionError("symmetric variant requires a symmetric generator")
+    variant = resolve_variant(variant, h, s.exp_pi)[0]
     xstar = np.asarray(xstar, dtype=float)
     fstar = f.optimal_value if f.optimal_value is not None else float(f.value(xstar))
     mu = variant.mu_schedule.mu(s.t) if isinstance(variant, Smoothed) else None
@@ -161,14 +183,16 @@ def record_diagnostics(
 
     `s` is the schedule sampled at the m recorded times (array fields), `x`
     and `z` the recorded states, shape (m, n).  For the Smoothed variant `mu`
-    holds mu at the recorded times.
+    holds mu at the recorded times.  The slacks are those of the variant's
+    condition set (`check_conditions`).
 
     The terms computed from the states run over `ROW_CHUNK` rows at a time,
     so their (rows, n) temporaries stay O(ROW_CHUNK * n); the slacks, the
     budget and the integrals run on the whole columns.
     """
     m = s.t.size
-    slack1, slack2, slack3, slack4 = condition_slacks(s, sigma)
+    certified = s if isinstance(variant, Symmetric) else replace(s, exp_pi=0.0, exp_pi_dot=0.0)
+    slack1, slack2, slack3, slack4 = condition_slacks(certified, sigma)
     budget = np.zeros_like(s.t)
     if isinstance(variant, Smoothed):
         growth = row_values("budget", variant.mu_schedule.budget(s.t[:-1], s.t[1:]), (m - 1,))
@@ -210,7 +234,11 @@ def record_diagnostics(
 
 # ---------------------------------------------------------------------------
 # Reports: every field holds a Python value, cast where the report is built,
-# so `to_dict` is `asdict` and its result goes straight to `json.dumps`
+# so `to_dict` is `asdict` and its result goes straight to `json.dumps`.
+# Each checks a fixed tolerance (README, "Certificates"):
+MONOTONICITY_TOLERANCE = 1e-8
+BOUND_TOLERANCE = 1e-6
+INTEGRAL_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -270,14 +298,13 @@ def _clamp_dust(value: float) -> float:
     return 0.0 if -1e-12 <= value < 0.0 else value
 
 
-def monotonicity_report(traj, tolerance: Optional[float] = None) -> MonotonicityReport:
-    """Max consecutive V increment; for smoothed runs the per-step budget
-    increment is the only allowed growth."""
+def monotonicity_report(traj) -> MonotonicityReport:
+    """Max consecutive V increment, to MONOTONICITY_TOLERANCE * max(1, V0);
+    for smoothed runs the per-step budget increment is the only allowed growth."""
     d = traj.records
     if len(d) < 2:
         raise ConfigurationError("need at least 2 recorded samples")
-    V0 = d.V[0]
-    tol = 1e-8 * max(1.0, V0) if tolerance is None else tolerance
+    tol = MONOTONICITY_TOLERANCE * max(1.0, d.V[0])
     inc = np.diff(d.V)
     smoothed = isinstance(traj.variant, Smoothed)
     if smoothed:
@@ -299,7 +326,7 @@ def _bound_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(ratio) - 1.0)
 
 
-def bound_check(traj, rel_tolerance: float = 1e-6) -> BoundReport:
+def bound_check(traj) -> BoundReport:
     """Verify f_gap <= e^-nu (V0 + B) and e^eta D_h(x*, z) <= e^-nu (V0 + B)
     at every recorded sample (B = 0 for unsmoothed runs)."""
     d = traj.records
@@ -307,17 +334,17 @@ def bound_check(traj, rel_tolerance: float = 1e-6) -> BoundReport:
     m1 = _bound_margin(d.f_gap, rhs)
     m2 = _bound_margin(np.exp(d.eta) * d.breg_xstar_z, rhs)
     return BoundReport(
-        passed=bool(max(m1, m2) <= rel_tolerance),
+        passed=bool(max(m1, m2) <= BOUND_TOLERANCE),
         worst_gap_margin=m1,
         worst_div_margin=m2,
-        rel_tolerance=float(rel_tolerance),
+        rel_tolerance=BOUND_TOLERANCE,
         # bound shapes for the symmetric variant follow by the same integration
         # argument as the standard ones; mark them as derived extensions
         derived_extension=isinstance(traj.variant, Symmetric),
     )
 
 
-def integral_estimates(traj, rel_tolerance: float = 1e-3) -> IntegralReport:
+def integral_estimates(traj) -> IntegralReport:
     """Check the accumulated integral estimates against V(t0).
 
     Each integrand coefficient (-slack2, -slack3, -slack4) must be nonnegative
@@ -349,13 +376,13 @@ def integral_estimates(traj, rel_tolerance: float = 1e-3) -> IntegralReport:
                 f"(min {float(np.min(c)):.3e}); condition violated"
             )
     passed = violation is None and all(
-        v <= bound * (1.0 + rel_tolerance) + 1e-300 for v in finals.values()
+        v <= bound * (1.0 + INTEGRAL_TOLERANCE) + 1e-300 for v in finals.values()
     )
     return IntegralReport(
         passed=bool(passed),
         values=finals,
         bound=float(bound),
-        rel_tolerance=float(rel_tolerance),
+        rel_tolerance=INTEGRAL_TOLERANCE,
         degenerate=degenerate,
         coefficient_violation=violation,
         kinetic_applies=bool(traj.metadata.get("standard_form", False)),

@@ -29,6 +29,7 @@ from .errors import (
     TimeDomainError,
 )
 
+# The largest slack a `ConditionReport` passes.
 CONDITION_TOLERANCE = 1e-9
 
 GENERAL_ITEMS = (
@@ -169,7 +170,7 @@ class Hyperbolic(ScheduleFamily):
 
     For sigma > 0 the damping coefficient tends to 2*sqrt(sigma) and the
     certified gap decay is 1/sinh^2(sqrt(sigma) t / 2); for sigma = 0 it is
-    t^-2.  Defined for t > 0 only; near t -> 0+ exp(alpha) grows like 2/t,
+    t^-2.  Defined for t >= t_min = 1e-3; near t -> 0+ exp(alpha) grows like 2/t,
     so the integration step must satisfy step * exp(alpha(t0)) <= 0.1.
     """
 
@@ -178,14 +179,10 @@ class Hyperbolic(ScheduleFamily):
     t_min = 1e-3
     default_t0 = 1e-3
 
-    def __init__(self, sigma: float, t_min: float = 1e-3):
+    def __init__(self, sigma: float):
         if sigma < 0:
             raise ConfigurationError("sigma must be nonnegative")
-        if t_min <= 0:
-            raise ConfigurationError("t_min must be positive")
         self.sigma = float(sigma)
-        self.t_min = float(t_min)
-        self.default_t0 = max(self.t_min, 1e-3)
         if self.sigma > 0.0:
             self.certified_rate = ("exponential", math.sqrt(self.sigma))
         else:
@@ -326,7 +323,8 @@ def with_modified_nu(base: ScheduleFamily, factor: float = 1.0, shift: float = 0
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-inequality slacks on a time grid; every slack must be <= tolerance.
+    """Per-inequality slacks on a time grid; every slack must be <=
+    CONDITION_TOLERANCE.
 
     The first item is reported as nu_dot - exp(alpha); the remaining three are
     the left-hand sides of the corresponding inequalities (all <= 0 when the
@@ -337,7 +335,6 @@ class ConditionReport:
     item_names: tuple
     times: np.ndarray
     slacks: np.ndarray  # shape (4, len(times))
-    tolerance: float
 
     @property
     def item_worst(self) -> np.ndarray:
@@ -354,13 +351,13 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.worst_slack <= self.tolerance)
+        return bool(self.worst_slack <= CONDITION_TOLERANCE)
 
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
             "passed": self.passed,
-            "tolerance": float(self.tolerance),
+            "tolerance": CONDITION_TOLERANCE,
             "worst_slack": self.worst_slack,
             "worst_time": self.worst_time,
             "item_worst": [float(v) for v in self.item_worst],
@@ -414,7 +411,6 @@ def check_general(
     family: ScheduleFamily,
     sigma: float,
     grid: np.ndarray,
-    tolerance: float = CONDITION_TOLERANCE,
     *,
     sample: Optional[ScheduleSample] = None,
 ) -> ConditionReport:
@@ -423,9 +419,8 @@ def check_general(
     when the caller holds it already."""
     grid = np.asarray(grid, dtype=float)
     s = family.sample(grid) if sample is None else sample
-    zero = np.zeros_like(grid)
-    slacks = np.vstack(condition_slacks(dataclasses.replace(s, exp_pi=zero, exp_pi_dot=zero), sigma))
-    return ConditionReport("general", GENERAL_ITEMS, grid, slacks, tolerance)
+    slacks = np.vstack(condition_slacks(dataclasses.replace(s, exp_pi=0.0, exp_pi_dot=0.0), sigma))
+    return ConditionReport("general", GENERAL_ITEMS, grid, slacks)
 
 
 def check_general2(
@@ -433,7 +428,6 @@ def check_general2(
     sigma: float,
     symmetric: bool,
     grid: np.ndarray,
-    tolerance: float = CONDITION_TOLERANCE,
     *,
     sample: Optional[ScheduleSample] = None,
 ) -> ConditionReport:
@@ -451,15 +445,10 @@ def check_general2(
             "schedule uses exp(pi) > 0, which requires a symmetric Bregman divergence"
         )
     slacks = np.vstack(condition_slacks(s, sigma))
-    return ConditionReport("general2", GENERAL2_ITEMS, grid, slacks, tolerance)
+    return ConditionReport("general2", GENERAL2_ITEMS, grid, slacks)
 
 
-def check_para(
-    family: ScheduleFamily,
-    sigma: float,
-    grid: np.ndarray,
-    tolerance: float = CONDITION_TOLERANCE,
-) -> ConditionReport:
+def check_para(family: ScheduleFamily, sigma: float, grid: np.ndarray) -> ConditionReport:
     """Standard-form conditions, specialized to eta = 2*alpha and the l2
     generator: with eta = 2*alpha, K = K2 = delta_dot + alpha_dot - e^alpha
     and the `condition_slacks` read as PARA_ITEMS."""
@@ -468,7 +457,7 @@ def check_para(
     if not is_standard_form(s):
         raise PreconditionError("standard form requires eta = 2*alpha on the grid")
     slacks = np.vstack(condition_slacks(s, sigma))
-    return ConditionReport("para", PARA_ITEMS, grid, slacks, tolerance)
+    return ConditionReport("para", PARA_ITEMS, grid, slacks)
 
 
 def from_beta_parameterization(
@@ -536,12 +525,8 @@ def verify_alpha_ode_residual(sigma: float, grid: np.ndarray) -> float:
     The same ODE admits the constant branch e^alpha = sqrt(sigma) (slacks 1-3
     identically zero; that is critical constant damping) and a slow branch
     e^alpha = sqrt(sigma)*tanh(sqrt(sigma) t/2), which carries a worse rate
-    and is not shipped as a family.
+    and is not shipped as a family.  The grid must lie in the family's domain
+    t >= 1e-3 (`TimeDomainError` otherwise).
     """
-    if sigma < 0:
-        raise ConfigurationError("sigma must be nonnegative")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ConfigurationError("grid must be strictly positive")
-    s = Hyperbolic(sigma, t_min=float(grid.min())).sample(grid)
+    s = Hyperbolic(sigma).sample(grid)
     return float(np.max(np.abs(alpha_ode_residual(s, sigma))))

@@ -194,10 +194,11 @@ def l1_denoise_approximation(y, w: float):
     return approx, spec
 
 
-# Samples per row batch of `certify_smooth_approx`, and the half-width of
-# the box its x and y are drawn from.
+# Samples per row batch of `certify_smooth_approx`, the half-width of the
+# box its x and y are drawn from, and its tolerance on each violation.
 _CERT_CHUNK = 1024
 _CERT_BOX = 2.0
+CERT_TOLERANCE = 1e-9
 
 
 def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
@@ -215,12 +216,7 @@ def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
     return batch
 
 
-def certify_smooth_approx(
-    a: SmoothApproximation,
-    num_samples: int,
-    seed: int,
-    tolerance: float = 1e-9,
-) -> CertReport:
+def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
@@ -262,9 +258,9 @@ def certify_smooth_approx(
         worst_ratio = max(worst_ratio, np.max(ratio, initial=0.0))
     return CertReport(
         passed=bool(
-            worst_sandwich <= tolerance
-            and worst_band <= tolerance
-            and worst_ratio <= 1.0 + 1e-9
+            worst_sandwich <= CERT_TOLERANCE
+            and worst_band <= CERT_TOLERANCE
+            and worst_ratio <= 1.0 + CERT_TOLERANCE
         ),
         max_sandwich_violation=float(worst_sandwich),
         max_band_violation=float(worst_band),

@@ -35,11 +35,9 @@ def test_ac01_lyapunov_monotonicity_and_runtime(canonical_runs):
     worst_ratio = -np.inf
     slowest = 0.0
     for run in canonical_runs:
-        traj = run["traj"]
-        V0 = traj.records.V[0]
-        tol = 1e-8 * max(1.0, V0)
-        rep = ag.monotonicity_report(traj, tolerance=tol)
-        worst_ratio = max(worst_ratio, rep.max_increment / tol)
+        rep = ag.monotonicity_report(run["traj"])
+        assert rep.tolerance == 1e-8 * max(1.0, run["traj"].records.V[0])
+        worst_ratio = max(worst_ratio, rep.max_increment / rep.tolerance)
         slowest = max(slowest, run["elapsed"])
         assert rep.passed, run["entry"]["label"]
         assert run["elapsed"] <= 5.0, run["entry"]["label"]
@@ -53,7 +51,8 @@ def test_ac01_lyapunov_monotonicity_and_runtime(canonical_runs):
 def test_ac02_value_and_divergence_bounds(canonical_runs):
     worst = -np.inf
     for run in canonical_runs:
-        rep = ag.bound_check(run["traj"], rel_tolerance=1e-6)
+        rep = ag.bound_check(run["traj"])
+        assert rep.rel_tolerance == 1e-6
         worst = max(worst, rep.worst_gap_margin, rep.worst_div_margin)
         assert rep.passed, run["entry"]["label"]
     _report(
@@ -80,7 +79,8 @@ def test_ac04_kinetic_integral_estimates(canonical_runs):
     for run in canonical_runs:
         traj = run["traj"]
         label = run["entry"]["label"]
-        rep = ag.integral_estimates(traj, rel_tolerance=1e-3)
+        rep = ag.integral_estimates(traj)
+        assert rep.rel_tolerance == 1e-3
         assert rep.passed, label
         V0 = traj.records.V[0]
         if rep.degenerate["z_x"]:

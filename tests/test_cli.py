@@ -123,10 +123,6 @@ def test_simulate_unknown_problem_exits_two(tmp_path, capsys):
         ("check-assumptions", "integrator", "t_end", "inf"),
         ("simulate", "initial", "x0", "1 nan"),
         ("simulate", "problem", "q_diag", "1 -inf"),
-        ("simulate", "lyapunov", "tol_mono_scale", "nan"),
-        ("simulate", "lyapunov", "bound_rel_tol", "nan"),
-        ("simulate", "lyapunov", "bound_rel_tol", "inf"),
-        ("simulate", "lyapunov", "integral_rel_tol", "nan"),
         ("simulate", "fit", "required", "nan"),
     ],
 )
@@ -143,6 +139,44 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, section, k
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}].{key}") and "must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new",
+    [
+        ("simulate", "[integrator].stpe", "step = 1e-3", "stpe = 0.5"),
+        (
+            "check-assumptions", "[schedule].sigma",
+            "family = constant\nd = 2.0\nsigma = 1.0", "family = polynomial\nc = 3.0\nsigma = 7",
+        ),
+        ("simulate", "[lyapunov].bound_rel_tol", "[output]", "[lyapunov]\nbound_rel_tol = 10\n\n[output]"),
+        ("simulate", "[nosuch]", "[output]", "[nosuch]\n\n[output]"),
+        ("simulate", "[DEFAULT]", "[problem]", "[DEFAULT]\nstep = 0.5\n\n[problem]"),
+        ("simulate", "[problem].q_rows", "q_diag = 1 4", "q_diag = 1 4\nq_rows = 1 0; 0 4"),
+    ],
+    ids=["misspelt", "other-family", "tolerance", "section", "defaults", "shadowed"],
+)
+def test_unknown_config_key_exits_two(tmp_path, capsys, command, name, old, new):
+    # a key the loader does not read would otherwise be dropped without a word
+    text = QUAD_CFG.format(t_end=1.0, out=tmp_path / "o")
+    assert text.count(old) == 1
+    path = write_cfg(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
+        load_config(path)
+    assert cli.main([command, "--config", path, "--quiet"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_ini_blocks_load(tmp_path):
+    # README's config grammar and smooth-demo config are files the loader takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^( *)```ini\n(.*?)^\1```", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    for i, (indent, block) in enumerate(blocks):
+        text = re.sub(rf"^{indent}", "", block, flags=re.M)
+        load_config(write_cfg(tmp_path, text, f"readme{i}.cfg"))
 
 
 def test_simulate_mismatched_hessian_exits_two(tmp_path, monkeypatch, capsys):
@@ -237,6 +271,74 @@ def test_condition_report_samples_its_grid_once(
     else:
         report = json.loads((out / "assumptions.json").read_text())
     assert report["condition"] == condition
+
+
+# the polynomial model's problem under C = 1.5, whose exp(pi) > 0 only the
+# symmetric V may use
+FLAT_STANDARD_CFG = """
+[problem]
+kind = flat_quadratic
+a_rows = 1 1
+b = 2
+
+[schedule]
+family = polynomial
+c = 1.5
+
+[integrator]
+t0 = 1.0
+t_end = 10.0
+
+[initial]
+x0 = 2 1
+
+[lyapunov]
+variant = standard
+
+[output]
+directory = {out}
+formats = csv
+"""
+
+
+@pytest.mark.parametrize(
+    "command, base, edit, worst",
+    [
+        ("simulate", "flat", {}, 0.5),
+        ("check-assumptions", "flat", {}, 0.5),
+        ("check-assumptions", "flat", {"variant = standard": "variant = auto"}, None),
+        ("simulate", "smoothed", {}, 0.5),
+        ("simulate", "smoothed", {"c = 1.5": "c = 6"}, 1.0),
+    ],
+    ids=["simulate-standard", "check-standard", "check-auto", "smoothed-C1.5", "smoothed-C6"],
+)
+def test_the_variant_picks_the_condition_set(tmp_path, command, base, edit, worst):
+    # Standard and Smoothed runs certify a V without the e^pi term, so they
+    # are checked against `general`: it fails for C = 1.5 (slack 4 is
+    # 0.5/t) and for C = 6 (slack 3 is 1/t), and the run exits 1
+    text = FLAT_STANDARD_CFG
+    if base == "smoothed":
+        text = SMOOTH_DEMO_CFG.replace("family = hyperbolic\nsigma = 0", "family = polynomial\nc = 1.5")
+        text = text.replace("t_end = 14", "t_end = 4")
+    for old, new in edit.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text.format(out=tmp_path / "o"))
+    code = cli.main([command, "--config", path, "--quiet"])
+    out = tmp_path / "o"
+    if command == "simulate":
+        report = json.loads((out / "summary.json").read_text())["conditions"]
+    else:
+        report = json.loads((out / "assumptions.json").read_text())
+    if worst is None:  # auto on a euclidean h: the symmetric V, relaxed conditions
+        assert code == cli.EXIT_PASS and report["condition"] == "general2"
+        return
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert report["condition"] == "general" and report["passed"] is False
+    assert report["worst_slack"] == pytest.approx(worst)
+    if command == "simulate":  # the recorded slacks are general's too
+        trajectory = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.max(trajectory[:, -4:]) == pytest.approx(worst)
 
 
 def _short_canonical_row():
@@ -430,29 +532,9 @@ def test_load_config_defaults_are_experiment_config_defaults(tmp_path):
     text += "sigma = 1\n[integrator]\nt_end = 2\n"
     cfg = load_config(write_cfg(tmp_path, text))
     defaults = [f for f in dataclasses.fields(ExperimentConfig) if f.default is not dataclasses.MISSING]
-    assert len(defaults) == 16
+    assert len(defaults) == 13
     for field in defaults:
         assert getattr(cfg, field.name) == field.default, field.name
-
-
-def test_default_tolerances_are_the_reports_defaults():
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
-    assert default(lyapunov.bound_check, "rel_tolerance") == ExperimentConfig.bound_rel_tol
-    assert default(lyapunov.integral_estimates, "rel_tolerance") == ExperimentConfig.integral_rel_tol
-    # monotonicity_report's default is tol_mono_scale * max(1, V(t0)), as in `_summarize`
-    spec = problems.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
-    family = schedules.ConstantDamping(2.0, 1.0)
-    V0s = []
-    for x0 in (0.1, 10.0):
-        traj = dynamics.integrate(
-            spec.generator, spec.objective, family, dynamics.IntegratorConfig(0.0, 1.0), np.full(2, x0)
-        )
-        V0s.append(traj.records.V[0])
-        tolerance = ExperimentConfig.tol_mono_scale * max(1.0, V0s[-1])
-        assert lyapunov.monotonicity_report(traj).tolerance == tolerance
-    assert V0s[0] < 1.0 < V0s[1]
 
 
 def test_every_summary_carries_the_same_reports(tmp_path):

@@ -124,6 +124,43 @@ def test_negative_control_schedule_raises_v():
     assert not cond.passed
 
 
+def test_monotonicity_tolerance_is_relative_to_v0():
+    # 1e-8 * max(1, V(t0)): absolute below V(t0) = 1, relative above it
+    spec = ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
+    family = ag.ConstantDamping(2.0, 1.0)
+    V0s = []
+    for x0 in (0.1, 10.0):
+        traj = ag.integrate(
+            spec.generator, spec.objective, family, ag.IntegratorConfig(0.0, 1.0), np.full(2, x0)
+        )
+        V0s.append(traj.records.V[0])
+        assert ag.monotonicity_report(traj).tolerance == 1e-8 * max(1.0, V0s[-1])
+    assert V0s[0] < 1.0 < V0s[1]
+
+
+def test_standard_fallback_is_a_warning_and_certifies_general():
+    # exp(pi) > 0 on a generator that is not symmetric: variant None falls
+    # back to Standard, says so, and records general's slacks
+    quad = ag.quadratic(np.diag([1.0, 2.0]), np.array([0.6, 0.8]))
+    family = ag.PolynomialDamping(1.5)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2, record_stride=10)
+    h = ag.negative_entropy(2)
+    traj = ag.integrate(h, quad.objective, family, cfg, np.array([0.3, 0.4]))
+    assert traj.variant.name == "standard"
+    [warning] = traj.metadata["warnings"]
+    assert "exp(pi) > 0" in warning and "negative_entropy" in warning
+    d = traj.records
+    general = ag.check_general(family, 0.0, traj.times).slacks
+    assert np.allclose(np.vstack([d.slack1, d.slack2, d.slack3, d.slack4]), general, rtol=1e-12, atol=0.0)
+    assert lyapunov.check_conditions(traj.variant, family, 0.0, traj.times).condition == "general"
+    with pytest.raises(PreconditionError):
+        ag.integrate(h, quad.objective, family, cfg, np.array([0.3, 0.4]), variant=ag.Symmetric())
+    # the same schedule on a symmetric generator: Symmetric, no warning
+    traj = ag.integrate(quad.generator, quad.objective, family, cfg, np.array([0.3, 0.4]))
+    assert traj.variant.name == "symmetric" and traj.metadata["warnings"] == []
+    assert lyapunov.check_conditions(traj.variant, family, 0.0, traj.times).condition == "general2"
+
+
 def test_scaling_invariance_of_monotonicity():
     # shifting nu rescales V by a constant and must not change pass/fail
     for factor, expect in ((1.0, True), (2.0, False)):
@@ -310,15 +347,13 @@ def test_reports_serialize():
     f = dataclasses.replace(ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2)).objective, sigma=f64(1.0))
     fitted = ag.fit_rate(traj, "exponential", (f64(2.5), f64(5.0)))
     reports = [
-        ag.monotonicity_report(traj, tolerance=f64(1e-6)),
-        ag.bound_check(traj, rel_tolerance=f64(1e-6)),
-        ag.integral_estimates(traj, rel_tolerance=f64(1e-3)),
+        ag.monotonicity_report(traj),
+        ag.bound_check(traj),
+        ag.integral_estimates(traj),
         fitted,
-        ag.certify_smooth_approx(
-            ag.huber_l1([1.0, 2.0]), num_samples=i64(50), seed=i64(1), tolerance=f64(1e-9)
-        ),
-        ag.check_uniform_convexity(f, h, num_samples=i64(50), seed=i64(0), tolerance=f64(1e-10)),
-        ag.check_symmetry(h, i64(50), seed=i64(0), tolerance=f64(1e-10)),
+        ag.certify_smooth_approx(ag.huber_l1([1.0, 2.0]), num_samples=i64(50), seed=i64(1)),
+        ag.check_uniform_convexity(f, h, num_samples=i64(50), seed=i64(0)),
+        ag.check_symmetry(h, i64(50), seed=i64(0)),
     ]
     for rep in reports:
         d = rep.to_dict()
@@ -348,11 +383,13 @@ def _oracle_diagnostics(traj):
         f_gap = float(f.value(x)) - fstar
         ea = np.exp(s.alpha)
         K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-        epa = s.exp_pi * ea
+        # exp(pi) enters the conditions of the symmetric V alone
+        exp_pi, exp_pi_dot = (s.exp_pi, s.exp_pi_dot) if isinstance(variant, ag.Symmetric) else (0.0, 0.0)
+        epa = exp_pi * ea
         slacks = (
             s.nu_dot - ea,
             -K + s.nu_dot + s.eta_dot + epa,
-            K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * s.exp_pi + s.exp_pi_dot,
+            K - sigma * np.exp(s.alpha - s.eta) - epa + (s.nu_dot + s.eta_dot) * exp_pi + exp_pi_dot,
             -K - epa,
         )
         if isinstance(variant, ag.Smoothed):
@@ -405,6 +442,9 @@ def _oracle_runs():
     cfg = ag.IntegratorConfig(t0=1.0, t_end=3.0, step=1e-2, record_stride=2)
     yield "negative entropy", ag.integrate(
         ag.negative_entropy(2), quad.objective, ag.PolynomialDamping(3.0), cfg, np.array([0.3, 0.4])
+    )
+    yield "standard beside exp(pi) > 0", ag.integrate(
+        ag.negative_entropy(2), quad.objective, ag.PolynomialDamping(1.5), cfg, np.array([0.3, 0.4])
     )
 
 

@@ -283,6 +283,9 @@ def test_alpha_ode_residual_small():
         assert ag.verify_alpha_ode_residual(sigma, grid) <= 1e-8
     with pytest.raises(ConfigurationError):
         ag.verify_alpha_ode_residual(-1.0, grid)
+    # the family's own domain: no grid below t_min = 1e-3
+    with pytest.raises(TimeDomainError):
+        ag.verify_alpha_ode_residual(1.0, ag.time_grid(1e-4, 1.0, 10))
 
 
 def test_alpha_ode_constant_branch_residual_is_zero():
@@ -298,7 +301,7 @@ def test_alpha_ode_residual_matches_the_hand_written_ode():
     # the damping-scale ODE typed out: 2 alpha_dot e^alpha + e^(2 alpha) - sigma
     grid = ag.time_grid(0.1, 20.0, 1000)
     for sigma in (0.0, 0.25, 1.0, 4.0):
-        s = ag.Hyperbolic(sigma, t_min=0.1).sample(grid)
+        s = ag.Hyperbolic(sigma).sample(grid)
         ea = np.exp(s.alpha)
         hand = 2.0 * s.alpha_dot * ea + ea * ea - sigma
         assert np.max(np.abs(alpha_ode_residual(s, sigma) - hand)) <= 1e-12, sigma
