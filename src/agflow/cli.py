@@ -110,7 +110,7 @@ def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
 
 def _run_command(name: str, cfg: ExperimentConfig, args, prefix: str = "") -> int:
     """Run `cfg` under `--out` and `--seed`; write its outputs under `prefix`ed names."""
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else smoothing.check_seed(args.seed, "--seed")
     cfg = dataclasses.replace(cfg, out_dir=args.out or cfg.out_dir, seed=seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

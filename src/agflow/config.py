@@ -19,6 +19,7 @@ from . import problems
 from .errors import ConfigurationError
 from .dynamics import IntegratorConfig
 from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, with_modified_nu
+from .smoothing import check_seed
 
 PROBLEM_KINDS = ("quadratic", "flat_quadratic", "l1_denoise")
 # [schedule].family -> class; its `params` are read as lower-case keys
@@ -109,8 +110,11 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config; a section or key it does not read is an error."""
-    # no [DEFAULT] section reaching into the others: such a header is unknown
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    # no [DEFAULT] section reaching into the others (such a header is
+    # unknown) and no % interpolation: every value is read literally
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), default_section="", interpolation=None
+    )
     try:
         with open(path) as fh:
             parser.read_file(fh, source=path)
@@ -252,7 +256,7 @@ def load_config(path: str) -> ExperimentConfig:
     for f in formats:
         if f not in OUTPUT_FORMATS:
             raise ConfigurationError(f"[output].formats: unknown format {f!r}")
-    seed = get_int("experiment", "seed", default.seed)
+    seed = check_seed(get_int("experiment", "seed", default.seed), "[experiment].seed")
 
     unread = []
     for section in parser.sections():

@@ -22,7 +22,7 @@ import numpy as np
 from .bregman import DistanceGenerator, Objective, row_values
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core
 from .errors import ConfigurationError, ScheduleError
-from .lyapunov import Smoothed
+from .lyapunov import ROW_CHUNK, Smoothed
 from .schedules import ScheduleFamily
 
 Vector = np.ndarray
@@ -201,6 +201,27 @@ _CERT_BOX = 2.0
 CERT_TOLERANCE = 1e-9
 
 
+def check_seed(seed, where: str = "seed") -> int:
+    """`seed` as an int, once it is an integer in [0, 2^64), the seeds of `_uniforms`."""
+    if not (0 <= seed < 2**64 and seed == int(seed)):
+        raise ConfigurationError(f"{where} must be an integer in [0, 2^64), got {seed}")
+    return int(seed)
+
+
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of the SplitMix64 stream of `seed`
+    (Steele, Lea & Flood, OOPSLA 2014) as floats in [0, 1): draw k mixes
+    seed + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64; its top 53 bits times 2^-53."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z += check_seed(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
 def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
     """`batch` as an array, once it has `shape` and (if given) its row 0
     agrees with `one_point`, the same callable evaluated at row 0 alone."""
@@ -221,23 +242,23 @@ def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
     Sample i is x_i, y_i ~ U[-2, 2]^n (`_CERT_BOX`) and mu_i ~ U[1e-3,
-    MU_MAX], drawn in that order, so the report covers every run that
-    `SmoothingSchedule.on_grid` admits; the draws are taken and checked in row
-    batches of `_CERT_CHUNK` samples.  Each callable must take row batches
-    (README, "Row batches"): a result of the wrong shape, or one whose first
-    row differs from a one-point call, raises `ConfigurationError`.
+    MU_MAX), scaled in that order from draws i (2n + 1) onwards of the
+    stream of `seed` (`_uniforms`), so the report covers every run that
+    `SmoothingSchedule.on_grid` admits, whatever the row batches of
+    `_CERT_CHUNK` samples it is checked in.  A NaN fails it.  Each callable
+    must take row batches (README, "Row batches"): a result of the wrong
+    shape, or one whose first row differs from a one-point call, raises
+    `ConfigurationError`.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
     dim = a.base.dim
-    worst_sandwich = -np.inf
-    worst_band = -np.inf
-    worst_ratio = 0.0
+    width = 2 * dim + 1
+    # worst sandwich, band and ratio; np.maximum keeps a NaN, Python's max drops it
+    worst = np.array([-np.inf, -np.inf, 0.0])
     for start in range(0, num_samples, _CERT_CHUNK):
         m = min(_CERT_CHUNK, num_samples - start)
-        u = rng.random((m, 2 * dim + 1))
-        # low + (high - low) * u is how Generator.uniform scales its draws
+        u = _uniforms(seed, start * width, m * width).reshape(m, width)
         x = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, :dim]
         y = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, dim : 2 * dim]
         mu_col = 1e-3 + (MU_MAX - 1e-3) * u[:, 2 * dim :]
@@ -245,9 +266,7 @@ def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -
         x0, mu0 = x[0], float(mu[0])
         fx = _row_batch("base.value", a.base.value(x), (m,), a.base.value(x0))
         fax = _row_batch("value", a.value(x, mu_col), (m,), a.value(x0, mu0))
-        worst_sandwich = max(worst_sandwich, np.max(fax - fx), np.max(fx - fax - a.beta_s * mu))
         gm = _row_batch("grad_mu", a.grad_mu(x, mu_col), (m,), a.grad_mu(x0, mu0))
-        worst_band = max(worst_band, np.max(gm), np.max(-gm - a.beta_s))
         gx = _row_batch("grad_x", a.grad_x(x, mu_col), x.shape, a.grad_x(x0, mu0))
         gy = _row_batch("grad_x", a.grad_x(y, mu_col), x.shape)
         d = y - x
@@ -255,16 +274,22 @@ def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -
         keep = dx > 1e-12
         dg = gy[keep] - gx[keep]
         ratio = np.sqrt(np.einsum("...i,...i->...", dg, dg)) / ((a.alpha_s / mu[keep]) * dx[keep])
-        worst_ratio = max(worst_ratio, np.max(ratio, initial=0.0))
+        batch = (
+            np.max(np.maximum(fax - fx, fx - fax - a.beta_s * mu)),
+            np.max(np.maximum(gm, -gm - a.beta_s)),
+            np.max(ratio, initial=0.0),
+        )
+        np.maximum(worst, batch, out=worst)
+    worst_sandwich, worst_band, worst_ratio = worst.tolist()
     return CertReport(
         passed=bool(
             worst_sandwich <= CERT_TOLERANCE
             and worst_band <= CERT_TOLERANCE
             and worst_ratio <= 1.0 + CERT_TOLERANCE
         ),
-        max_sandwich_violation=float(worst_sandwich),
-        max_band_violation=float(worst_band),
-        max_smoothness_ratio=float(worst_ratio),
+        max_sandwich_violation=worst_sandwich,
+        max_band_violation=worst_band,
+        max_smoothness_ratio=worst_ratio,
         num_samples=int(num_samples),
         seed=int(seed),
     )
@@ -300,7 +325,14 @@ def rate_preserving_mu(
         desc = f"nu_dot e^nu mu = t^-(1+{epsilon:g})"
 
     def mu(t):
-        return target(t) / flow_weight(t)
+        # over ROW_CHUNK slices of t: a family's sample holds several t-sized arrays
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        out = np.empty(flat.size)
+        for k in range(0, flat.size, ROW_CHUNK):
+            tk = flat[k : k + ROW_CHUNK]
+            out[k : k + ROW_CHUNK] = target(tk) / flow_weight(tk)
+        return out.reshape(t.shape)
 
     return SmoothingSchedule(
         mu=mu,

@@ -568,6 +568,42 @@ def test_seed_is_rejected_where_no_command_reads_it(tmp_path, command, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["--seed", "[experiment].seed"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_stream_range_exits_two_before_integrating(tmp_path, capsys, monkeypatch, where, seed):
+    monkeypatch.setattr(cli, "_run_experiment", None)  # a run that starts fails with TypeError
+    out = tmp_path / "o"
+    if where == "--seed":
+        argv = ["smooth-demo", "--seed", str(seed)]
+    else:
+        text = QUAD_CFG.format(t_end=1.0, out=out).replace("seed = 0", f"seed = {seed}")
+        argv = ["simulate", "--config", write_cfg(tmp_path, text)]
+    assert cli.main(argv + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG_ERROR
+    assert f"{where} must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_are_read_without_interpolation(tmp_path):
+    text = QUAD_CFG.format(t_end=1.0, out="out%x %(seed)s")
+    assert load_config(write_cfg(tmp_path, text)).out_dir == "out%x %(seed)s"
+
+
+def test_smooth_demo_does_not_import_numpy_random(tmp_path):
+    # numpy 1.x imports numpy.random with numpy itself; 2.x loads it on first use
+    code = (
+        "import sys, numpy; loaded = 'numpy.random' in sys.modules; import agflow.cli; "
+        f"code = agflow.cli.main(['smooth-demo', '--out', {str(tmp_path)!r}, '--quiet']); "
+        "print(code, loaded, 'numpy.random' in sys.modules)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    code, loaded, after = done.stdout.split()
+    if loaded == "True":
+        pytest.skip("this numpy imports numpy.random on import")
+    assert (code, after) == ("0", "False")
+
+
 @pytest.mark.parametrize("command", ["simulate", "smooth-demo"])
 def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
     blocker = tmp_path / "FILE"

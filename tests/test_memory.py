@@ -1,7 +1,7 @@
 """The transient memory of the diagnostics pass, of the table writers, of
-the composed-maps walk and of the stepping loop is set by their chunk sizes,
-not by the number of recorded samples or steps; a schedule sample holds no
-more grid arrays than its family needs.
+the composed-maps walk, of the stepping loop and of the rate-preserving
+mu(t) is set by their chunk sizes, not by the number of recorded samples or
+steps; a schedule sample holds no more grid arrays than its family needs.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics, lyapunov, rk4, schedules
+from agflow import dynamics, lyapunov, rk4, schedules, smoothing
 
 M = 8 * lyapunov.ROW_CHUNK
 N = 64
@@ -168,4 +168,19 @@ def _loop_transient(n_steps):
 
 def test_stepping_loop_transient_does_not_grow_with_the_horizon():
     short, long = _loop_transient(2_000), _loop_transient(8_000)
+    assert long <= short + OBJECT_SLACK, (short, long)
+
+
+def _mu_transient(t_end):
+    """The transient of smooth-demo's rate-preserving mu(t) on the half-step
+    grid of a step-1e-3 run from t = 1 to t_end, beyond the mu it returns."""
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=t_end, step=1e-3)
+    _, tgrid = dynamics.half_step_grid(cfg)
+    mu = smoothing.rate_preserving_mu(ag.Hyperbolic(0.0), 0.5, "exponential").mu
+    mu(tgrid[:10])  # first-use allocations
+    return _transient(mu, tgrid)[1]
+
+
+def test_rate_preserving_mu_transient_does_not_grow_with_the_horizon():
+    short, long = _mu_transient(14.0), _mu_transient(53.0)
     assert long <= short + OBJECT_SLACK, (short, long)

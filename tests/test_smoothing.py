@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import lyapunov
+from agflow import lyapunov, smoothing
 from agflow.dynamics import _integrate_core
 from agflow.errors import ConfigurationError, ScheduleError
-from agflow.smoothing import MU_MAX, SmoothApproximation, add_smooth_part
+from agflow.smoothing import MU_MAX, SmoothApproximation, _uniforms, add_smooth_part
 
 
 def test_huber_values_at_reference_points():
@@ -307,14 +307,16 @@ def test_nonsmooth_objective_needs_a_smoothed_variant(variant):
 
 
 def per_sample_certificate(a, num_samples, seed, box=2.0, tolerance=1e-9):
-    """The certification one (x, y, mu) draw at a time."""
-    rng = np.random.default_rng(seed)
+    """The certification one (x, y, mu) draw at a time, each taken from the
+    stream on its own."""
     dim = a.base.dim
+    width = 2 * dim + 1
     sandwich, band, ratio = -np.inf, -np.inf, 0.0
-    for _ in range(num_samples):
-        x = rng.uniform(-box, box, size=dim)
-        y = rng.uniform(-box, box, size=dim)
-        mu = rng.uniform(1e-3, MU_MAX)
+    for i in range(num_samples):
+        u = _uniforms(seed, i * width, width)
+        x = -box + 2.0 * box * u[:dim]
+        y = -box + 2.0 * box * u[dim : 2 * dim]
+        mu = 1e-3 + (MU_MAX - 1e-3) * u[2 * dim]
         fx = float(a.base.value(x))
         fax = float(a.value(x, mu))
         sandwich = max(sandwich, fax - fx, fx - fax - a.beta_s * mu)
@@ -342,6 +344,39 @@ def test_batched_certification_matches_per_sample_loop(which, seed):
     assert rep.max_sandwich_violation == pytest.approx(sandwich, rel=1e-12, abs=0.0)
     assert rep.max_band_violation == pytest.approx(band, rel=1e-12, abs=0.0)
     assert rep.max_smoothness_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
+
+def test_uniform_stream_is_splitmix64():
+    # SplitMix64's first outputs for seed 0; the stream keeps their top 53 bits
+    known = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+    assert (_uniforms(0, 0, 3) * 2.0**53).tolist() == [float(k >> 11) for k in known]
+    # draw k does not depend on where a call starts, and an int64 seed is a seed
+    assert np.array_equal(_uniforms(np.int64(7), 5, 4), _uniforms(7, 0, 9)[5:])
+    for seed in (-1, 2**64, 1.5, np.nan):
+        with pytest.raises(ConfigurationError, match="seed"):
+            _uniforms(seed, 0, 1)
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_certificate_does_not_depend_on_its_row_batches(monkeypatch, chunk):
+    a, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+    monkeypatch.setattr(smoothing, "_CERT_CHUNK", 1000)
+    reference = ag.certify_smooth_approx(a, num_samples=2500, seed=3)
+    monkeypatch.setattr(smoothing, "_CERT_CHUNK", chunk)
+    assert ag.certify_smooth_approx(a, num_samples=2500, seed=3) == reference
+
+
+@pytest.mark.parametrize("field", ["grad_mu", "grad_x"])
+def test_certificate_fails_on_nan(field):
+    a = ag.huber_l1(np.array([1.0, 2.0]))
+
+    def nan(x, mu):  # the shape of a grad_x or a grad_mu
+        return np.full(np.shape(x) if field == "grad_x" else np.shape(x)[:-1], np.nan)
+
+    rep = ag.certify_smooth_approx(dataclasses.replace(a, **{field: nan}), num_samples=2500, seed=0)
+    assert rep.passed is False
+    worst = rep.max_band_violation if field == "grad_mu" else rep.max_smoothness_ratio
+    assert np.isnan(worst)
 
 
 def smoothed_euclidean_norm(dim):
