@@ -22,17 +22,23 @@ from .errors import ConfigurationError, DomainError
 Vector = np.ndarray
 
 
+def _box(u: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) scaled to the box [-2, 2): the default `sample_point`."""
+    return -2.0 + 4.0 * u
+
+
 @dataclass(frozen=True)
 class DistanceGenerator:
     """A convex function h with gradient and Hessian access.
 
     ``hessian_solve(point, rhs)`` returns w with hess_h(point) @ w = rhs,
     and ``symmetric`` records whether D_h(x,y) = D_h(y,x) for all pairs.
-    ``sample_point`` draws in-domain points for the sampled checks; the
-    default is the box [-2, 2]^n.  ``hessian`` is the constant Hessian H of a
-    quadratic h, or None; with it the integrator may run the flow as composed
-    linear step maps.  As with `Objective.gradient`, a point handed to
-    ``gradient`` is valid only during the call.
+    ``sample_point`` maps a row batch of uniforms in [0, 1), shape (m, n),
+    to m in-domain points, shape (m, n), for the sampled checks; the default
+    scales them to the box [-2, 2]^n.  ``hessian`` is the constant Hessian H
+    of a quadratic h, or None; with it the integrator may run the flow as
+    composed linear step maps.  As with `Objective.gradient`, a point handed
+    to ``gradient`` is valid only during the call.
     """
 
     dim: int
@@ -42,7 +48,7 @@ class DistanceGenerator:
     symmetric: bool
     domain_guard: Callable[[Vector], bool]
     name: str = "h"
-    sample_point: Optional[Callable[[np.random.Generator], Vector]] = None
+    sample_point: Callable[[np.ndarray], np.ndarray] = _box
     sample_region: str = "box [-2, 2]^n"
     hessian: Optional[np.ndarray] = None
 
@@ -51,11 +57,6 @@ class DistanceGenerator:
         """True iff the declared ``hessian`` is the identity; the stepping
         loop then skips the solve and takes grad h(z) - grad h(x) = z - x."""
         return self.hessian is not None and np.array_equal(self.hessian, np.eye(self.dim))
-
-    def draw(self, rng: np.random.Generator) -> Vector:
-        if self.sample_point is not None:
-            return self.sample_point(rng)
-        return rng.uniform(-2.0, 2.0, size=self.dim)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,17 @@ def row_values(name: str, values, shape) -> np.ndarray:
     return values
 
 
+def _divergence(name: str, value, grad_at_x, y: Vector, x: Vector):
+    """value(y) - value(x) - grad_at_x^T (y - x) per row: the one formula of
+    D_h (`bregman_div`) and of D_f (`check_uniform_convexity`)."""
+    label = f"{name}.value"
+    return (
+        row_values(label, value(y), y.shape[:-1])
+        - row_values(label, value(x), x.shape[:-1])
+        - _dot(grad_at_x, y - x)
+    )
+
+
 def bregman_div(h: DistanceGenerator, y: Vector, x: Vector):
     """D_h(y, x) = h(y) - h(x) - grad h(x)^T (y - x).
 
@@ -140,12 +152,7 @@ def bregman_div(h: DistanceGenerator, y: Vector, x: Vector):
     x = np.asarray(x, dtype=float)
     _require_in_domain(h, x, "x")
     _require_in_domain(h, y, "y")
-    label = f"{h.name}.value"
-    d = (
-        row_values(label, h.value(y), y.shape[:-1])
-        - row_values(label, h.value(x), x.shape[:-1])
-        - np.einsum("...i,...i->...", h.gradient(x), y - x)
-    )
+    d = _divergence(h.name, h.value, h.gradient(x), y, x)
     return float(d) if d.ndim == 0 else d
 
 
@@ -154,47 +161,93 @@ def three_point_residual(h: DistanceGenerator, x1: Vector, x2: Vector, x3: Vecto
 
     Evaluates |[grad h(x2) - grad h(x3)]^T (x1 - x2)
                - (-D_h(x1,x2) + D_h(x1,x3) - D_h(x2,x3))|,
-    which is zero in exact arithmetic for any convex h.
+    which is zero in exact arithmetic for any convex h.  The divergences
+    check each point against h's domain before a gradient is taken.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x3 = np.asarray(x3, dtype=float)
-    for label, p in (("x1", x1), ("x2", x2), ("x3", x3)):
-        _require_in_domain(h, p, label)
-    lhs = float((h.gradient(x2) - h.gradient(x3)) @ (x1 - x2))
     rhs = -bregman_div(h, x1, x2) + bregman_div(h, x1, x3) - bregman_div(h, x2, x3)
-    return abs(lhs - rhs)
+    x1, x2, x3 = (np.asarray(p, dtype=float) for p in (x1, x2, x3))
+    return abs(float((h.gradient(x2) - h.gradient(x3)) @ (x1 - x2)) - rhs)
 
 
-# The tolerance of `check_uniform_convexity` and `check_symmetry`.
+# The tolerance of `check_uniform_convexity` and `check_symmetry`, and the
+# samples per row batch of every sampled check (also `certify_smooth_approx`).
 SAMPLED_TOLERANCE = 1e-10
+_CHECK_CHUNK = 1024
+
+
+def check_seed(seed, where: str = "seed") -> int:
+    """`seed` as an int, once it is an integer in [0, 2^64), the seeds of `_uniforms`."""
+    if not (0 <= seed < 2**64 and seed == int(seed)):
+        raise ConfigurationError(f"{where} must be an integer in [0, 2^64), got {seed}")
+    return int(seed)
+
+
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of the SplitMix64 stream of `seed`
+    (Steele, Lea & Flood, OOPSLA 2014) as floats in [0, 1): draw k mixes
+    seed + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64; its top 53 bits times 2^-53."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z += check_seed(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+def _row_batches(num_samples: int, seed: int, width: int):
+    """The uniforms of samples 0, ..., num_samples - 1, `width` each, in
+    (m, width) row batches of at most `_CHECK_CHUNK` samples: sample i is
+    draws i * width onwards of the stream of `seed` (`_uniforms`), whatever
+    the batch size."""
+    if num_samples < 1:
+        raise ConfigurationError("num_samples must be >= 1")
+    for start in range(0, num_samples, _CHECK_CHUNK):
+        m = min(_CHECK_CHUNK, num_samples - start)
+        yield _uniforms(seed, start * width, m * width).reshape(m, width)
+
+
+def _row_batch(name: str, batch, shape, one_point) -> np.ndarray:
+    """`batch` as an array, once it has `shape` and its row 0 agrees with
+    `one_point`, the same callable evaluated at row 0 alone."""
+    batch = row_values(name, batch, shape)
+    if np.shape(one_point) != shape[1:] or not np.allclose(
+        batch[0], one_point, rtol=1e-9, atol=1e-9, equal_nan=True
+    ):
+        raise ConfigurationError(
+            f"{name} on a row batch disagrees with its one-point value; it must take row batches"
+        )
+    return batch
+
+
+def _sampled_pairs(h: DistanceGenerator, num_samples: int, seed: int):
+    """Row batches of point pairs (x, y) from `h.sample_point`: sample i maps
+    its first n uniforms to x and the next n to y.  A point of the wrong
+    shape or outside h's domain is a ConfigurationError."""
+    for u in _row_batches(num_samples, seed, 2 * h.dim):
+        u = u.reshape(-1, h.dim)
+        xy = row_values(f"{h.name}.sample_point", h.sample_point(u), u.shape)
+        if not h.domain_guard(xy):
+            raise ConfigurationError(
+                f"sampler for {h.name} produced out-of-domain points in region {h.sample_region}"
+            )
+        yield xy[0::2], xy[1::2]
 
 
 def check_uniform_convexity(
     f: Objective, h: DistanceGenerator, num_samples: int, seed: int
 ) -> ConvexityReport:
-    """Sampled check of D_f(y, x) >= sigma * D_h(y, x).
-
-    Draws pairs from the generator's sampling region and reports the minimum
-    slack D_f - sigma * D_h; the check passes iff it stays above
-    -SAMPLED_TOLERANCE.
-    This certifies the inequality on the sampled region only.
-    """
-    if num_samples < 1:
-        raise ConfigurationError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    min_slack = np.inf
-    for _ in range(num_samples):
-        x = h.draw(rng)
-        y = h.draw(rng)
-        if not (h.domain_guard(x) and h.domain_guard(y)):
-            raise ConfigurationError(
-                f"sampler for {h.name} produced out-of-domain points in region {h.sample_region}"
-            )
-        d_f = f.value(y) - f.value(x) - float(f.gradient(x) @ (y - x))
-        slack = d_f - f.sigma * bregman_div(h, y, x)
-        if slack < min_slack:
-            min_slack = slack
+    """Sampled check of D_f(y, x) >= sigma * D_h(y, x), which it certifies on
+    the generator's sampling region only (`_sampled_pairs`): it passes iff
+    the minimum slack D_f - sigma * D_h stays above -SAMPLED_TOLERANCE, so a
+    NaN fails it.  f's `value` and `gradient` must take row batches; a
+    gradient whose row 0 differs from a one-point call is a ConfigurationError."""
+    min_slack = np.inf  # np.minimum keeps a NaN, Python's min drops it
+    for x, y in _sampled_pairs(h, num_samples, seed):
+        gx = _row_batch(f"{f.name}.gradient", f.gradient(x), x.shape, f.gradient(x[0]))
+        slack = _divergence(f.name, f.value, gx, y, x) - f.sigma * bregman_div(h, y, x)
+        min_slack = np.minimum(min_slack, np.min(slack))
     return ConvexityReport(
         passed=bool(min_slack >= -SAMPLED_TOLERANCE),
         min_slack=float(min_slack),
@@ -208,24 +261,17 @@ def check_uniform_convexity(
 
 def check_symmetry(h: DistanceGenerator, num_samples: int, seed: int) -> SymmetryReport:
     """Sampled check of D_h(x, y) = D_h(y, x), scaled by 1 + |D_h(x, y)|, to
-    SAMPLED_TOLERANCE."""
-    if num_samples < 1:
-        raise ConfigurationError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_scaled = 0.0
-    for _ in range(num_samples):
-        x = h.draw(rng)
-        y = h.draw(rng)
+    SAMPLED_TOLERANCE, on pairs from `_sampled_pairs`; a NaN fails it."""
+    worst = np.zeros(2)  # the gap and the scaled gap; np.maximum keeps a NaN
+    for x, y in _sampled_pairs(h, num_samples, seed):
         d_xy = bregman_div(h, y, x)
-        d_yx = bregman_div(h, x, y)
-        gap = abs(d_xy - d_yx)
-        worst = max(worst, gap)
-        worst_scaled = max(worst_scaled, gap / (1.0 + abs(d_xy)))
+        gap = np.abs(d_xy - bregman_div(h, x, y))
+        np.maximum(worst, (np.max(gap), np.max(gap / (1.0 + np.abs(d_xy)))), out=worst)
+    max_gap, max_scaled = worst.tolist()
     return SymmetryReport(
-        passed=bool(worst_scaled <= SAMPLED_TOLERANCE),
-        max_asymmetry=float(worst),
-        max_scaled_asymmetry=float(worst_scaled),
+        passed=bool(max_scaled <= SAMPLED_TOLERANCE),
+        max_asymmetry=max_gap,
+        max_scaled_asymmetry=max_scaled,
         num_samples=int(num_samples),
         seed=int(seed),
         tolerance=SAMPLED_TOLERANCE,
@@ -283,9 +329,10 @@ def negative_entropy(dim: int) -> DistanceGenerator:
     if dim < 1 or not margin < 1.0 / dim:
         raise ConfigurationError("need dim >= 1 and 0 < margin < 1/dim")
 
-    def draw(rng: np.random.Generator) -> Vector:
-        p = rng.dirichlet(np.ones(dim))
-        return (1.0 - dim * margin) * p + margin
+    def draw(u):
+        # -log(1 - u) is Exp(1), and n of them over their sum is uniform on the simplex
+        e = -np.log1p(-u)
+        return (1.0 - dim * margin) * (e / np.sum(e, axis=-1, keepdims=True)) + margin
 
     return DistanceGenerator(
         dim=dim,

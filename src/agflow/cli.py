@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lyapunov, smoothing
+from . import bregman, lyapunov, smoothing
 from .config import SMOOTHING_DEFAULTS, ExperimentConfig, load_config
 from .dynamics import integrate, write_table
 from .errors import (
@@ -110,7 +110,7 @@ def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
 
 def _run_command(name: str, cfg: ExperimentConfig, args, prefix: str = "") -> int:
     """Run `cfg` under `--out` and `--seed`; write its outputs under `prefix`ed names."""
-    seed = cfg.seed if args.seed is None else smoothing.check_seed(args.seed, "--seed")
+    seed = cfg.seed if args.seed is None else bregman.check_seed(args.seed, "--seed")
     cfg = dataclasses.replace(cfg, out_dir=args.out or cfg.out_dir, seed=seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import problems
+from .bregman import check_seed
 from .errors import ConfigurationError
 from .dynamics import IntegratorConfig
 from .schedules import ConstantDamping, Hyperbolic, PolynomialDamping, with_modified_nu
-from .smoothing import check_seed
 
 PROBLEM_KINDS = ("quadratic", "flat_quadratic", "l1_denoise")
 # [schedule].family -> class; its `params` are read as lower-case keys

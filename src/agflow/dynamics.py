@@ -89,10 +89,10 @@ class Trajectory:
     """Recorded flow samples with their diagnostics.
 
     `times`, `states_x`, `states_z` are the recorded grid; `records` holds the
-    diagnostics as one array per field (`lyapunov.Diagnostics`); only
-    `to_dict` reads them as per-sample rows.  The generator, objective,
-    family, and Lyapunov variant handles are kept for downstream checks;
-    `metadata` is the JSON-serializable description of the run.
+    diagnostics as one array per field (`lyapunov.Diagnostics`); `to_dict`
+    and `perfbench/child.py` read them as per-sample rows.  The generator,
+    objective, family, and Lyapunov variant handles are kept for downstream
+    checks; `metadata` is the JSON-serializable description of the run.
     """
 
     times: np.ndarray

@@ -80,8 +80,8 @@ class Diagnostics:
     be <= 0 for an admissible schedule); integral_* are the running trapezoid
     accumulations of the three bounded integrands; budget is B(t) for smoothed
     runs (0 otherwise).  `len` counts the samples, and iteration yields them
-    as `DiagnosticsRecord` rows (`Trajectory.to_dict` reads them so); every
-    other reader takes the arrays.
+    as `DiagnosticsRecord` rows, read by `Trajectory.to_dict` and by the
+    benchmark's `perfbench/child.py::_final_state`; the rest take the arrays.
     """
 
     t: np.ndarray

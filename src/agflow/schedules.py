@@ -150,13 +150,12 @@ class ConstantDamping(ScheduleFamily):
         self.certified_rate = ("exponential", self.exp_alpha)
 
     def _evaluate(self, t: np.ndarray) -> dict:
-        alpha = math.log(self.exp_alpha)
+        # eta = 2 alpha comes from `sample`; its zero fields share one array
         zero = np.zeros_like(t)
         return {
-            "alpha": np.full_like(t, alpha),
+            "alpha": np.full_like(t, math.log(self.exp_alpha)),
             "alpha_dot": zero,
             "delta_dot": np.full_like(t, self.D),
-            "eta": np.full_like(t, 2.0 * alpha),
             "eta_dot": zero,
             "nu": self.exp_alpha * t,
             "nu_dot": np.full_like(t, self.exp_alpha),

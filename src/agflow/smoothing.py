@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import DistanceGenerator, Objective, row_values
+from .bregman import DistanceGenerator, Objective, _box, _row_batch, _row_batches, row_values
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core
 from .errors import ConfigurationError, ScheduleError
 from .lyapunov import ROW_CHUNK, Smoothed
@@ -194,81 +194,35 @@ def l1_denoise_approximation(y, w: float):
     return approx, spec
 
 
-# Samples per row batch of `certify_smooth_approx`, the half-width of the
-# box its x and y are drawn from, and its tolerance on each violation.
-_CERT_CHUNK = 1024
-_CERT_BOX = 2.0
+# The tolerance of `certify_smooth_approx` on each violation.
 CERT_TOLERANCE = 1e-9
-
-
-def check_seed(seed, where: str = "seed") -> int:
-    """`seed` as an int, once it is an integer in [0, 2^64), the seeds of `_uniforms`."""
-    if not (0 <= seed < 2**64 and seed == int(seed)):
-        raise ConfigurationError(f"{where} must be an integer in [0, 2^64), got {seed}")
-    return int(seed)
-
-
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws start, ..., start + count - 1 of the SplitMix64 stream of `seed`
-    (Steele, Lea & Flood, OOPSLA 2014) as floats in [0, 1): draw k mixes
-    seed + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64; its top 53 bits times 2^-53."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= 0x9E3779B97F4A7C15
-    z += check_seed(seed)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> shift
-        z *= factor
-    z ^= z >> 31
-    return (z >> 11) * 2.0**-53
-
-
-def _row_batch(name: str, batch, shape, one_point=None) -> np.ndarray:
-    """`batch` as an array, once it has `shape` and (if given) its row 0
-    agrees with `one_point`, the same callable evaluated at row 0 alone."""
-    batch = row_values(name, batch, shape)
-    if one_point is None:
-        return batch
-    if np.shape(one_point) != shape[1:] or not np.allclose(
-        batch[0], one_point, rtol=1e-9, atol=1e-9, equal_nan=True
-    ):
-        raise ConfigurationError(
-            f"{name} on a row batch disagrees with its one-point value; it must take row batches"
-        )
-    return batch
 
 
 def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
-    Sample i is x_i, y_i ~ U[-2, 2]^n (`_CERT_BOX`) and mu_i ~ U[1e-3,
-    MU_MAX), scaled in that order from draws i (2n + 1) onwards of the
-    stream of `seed` (`_uniforms`), so the report covers every run that
-    `SmoothingSchedule.on_grid` admits, whatever the row batches of
-    `_CERT_CHUNK` samples it is checked in.  A NaN fails it.  Each callable
-    must take row batches (README, "Row batches"): a result of the wrong
-    shape, or one whose first row differs from a one-point call, raises
-    `ConfigurationError`.
+    Sample i is x_i, y_i ~ U[-2, 2]^n (`bregman._box`) and mu_i ~ U[1e-3,
+    MU_MAX), scaled in that order from its 2n + 1 uniforms of the stream of
+    `seed` (`bregman._row_batches`), so the report covers every run that
+    `SmoothingSchedule.on_grid` admits, whatever the batch size.  A NaN
+    fails it.  Each callable must take row batches (README, "Row batches"):
+    a result of the wrong shape, or one whose first row differs from a
+    one-point call, raises `ConfigurationError`.
     """
-    if num_samples < 1:
-        raise ConfigurationError("num_samples must be >= 1")
     dim = a.base.dim
-    width = 2 * dim + 1
     # worst sandwich, band and ratio; np.maximum keeps a NaN, Python's max drops it
     worst = np.array([-np.inf, -np.inf, 0.0])
-    for start in range(0, num_samples, _CERT_CHUNK):
-        m = min(_CERT_CHUNK, num_samples - start)
-        u = _uniforms(seed, start * width, m * width).reshape(m, width)
-        x = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, :dim]
-        y = -_CERT_BOX + 2.0 * _CERT_BOX * u[:, dim : 2 * dim]
+    for u in _row_batches(num_samples, seed, 2 * dim + 1):
+        x, y = _box(u[:, :dim]), _box(u[:, dim : 2 * dim])
         mu_col = 1e-3 + (MU_MAX - 1e-3) * u[:, 2 * dim :]
         mu = mu_col[:, 0]
         x0, mu0 = x[0], float(mu[0])
-        fx = _row_batch("base.value", a.base.value(x), (m,), a.base.value(x0))
-        fax = _row_batch("value", a.value(x, mu_col), (m,), a.value(x0, mu0))
-        gm = _row_batch("grad_mu", a.grad_mu(x, mu_col), (m,), a.grad_mu(x0, mu0))
+        fx = _row_batch("base.value", a.base.value(x), mu.shape, a.base.value(x0))
+        fax = _row_batch("value", a.value(x, mu_col), mu.shape, a.value(x0, mu0))
+        gm = _row_batch("grad_mu", a.grad_mu(x, mu_col), mu.shape, a.grad_mu(x0, mu0))
         gx = _row_batch("grad_x", a.grad_x(x, mu_col), x.shape, a.grad_x(x0, mu0))
-        gy = _row_batch("grad_x", a.grad_x(y, mu_col), x.shape)
+        gy = row_values("grad_x", a.grad_x(y, mu_col), x.shape)
         d = y - x
         dx = np.sqrt(np.einsum("...i,...i->...", d, d))
         keep = dx > 1e-12

@@ -132,8 +132,7 @@ def test_ac07_divergence_identities_and_gradients():
     ]
     worst_resid = 0.0
     for h in generators:
-        for _ in range(1000):
-            x1, x2, x3 = (h.draw(rng) for _ in range(3))
+        for x1, x2, x3 in h.sample_point(rng.uniform(size=(3000, h.dim))).reshape(1000, 3, h.dim):
             worst_resid = max(worst_resid, ag.three_point_residual(h, x1, x2, x3))
     assert worst_resid <= 1e-10
 
@@ -147,9 +146,8 @@ def test_ac07_divergence_identities_and_gradients():
     for target in generators + objectives:
         dim = target.dim
         value, gradient = target.value, target.gradient
-        draw = target.draw if hasattr(target, "draw") else None
-        for _ in range(30):
-            x = draw(rng) if draw else rng.uniform(-2, 2, dim)
+        sample = getattr(target, "sample_point", None)
+        for x in sample(rng.uniform(size=(30, dim))) if sample else rng.uniform(-2, 2, (30, dim)):
             if getattr(target, "smooth", True) is False:
                 x = np.where(np.abs(x) < 0.05, 0.5, x)
             g = gradient(x)

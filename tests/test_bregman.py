@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import agflow as ag
-from agflow.bregman import DistanceGenerator
+from agflow.bregman import DistanceGenerator, _uniforms
 from agflow.errors import ConfigurationError, DomainError
 
 # independent oracle for the entropy divergence on equal-sum positive vectors:
 # sum_i y_i log(y_i / x_i), evaluated before the build
 ENTROPY_DIV_HALF_QUARTER = 0.14384103622589035
+
+
+def draws(h, count, seed):
+    """`count` points of h's sampling region from the uniform stream of `seed`."""
+    return h.sample_point(_uniforms(seed, 0, count * h.dim).reshape(count, h.dim))
 
 
 def all_generators():
@@ -41,10 +48,8 @@ def test_entropy_divergence_matches_independent_formula():
 
 
 def test_nonnegativity_on_random_pairs():
-    rng = np.random.default_rng(42)
     for h in all_generators():
-        for _ in range(1000):
-            x, y = h.draw(rng), h.draw(rng)
+        for x, y in draws(h, 2000, 42).reshape(1000, 2, h.dim):
             assert ag.bregman_div(h, y, x) >= -1e-12
 
 
@@ -70,9 +75,7 @@ def test_three_point_identity_trivial_and_random():
 
 def test_three_point_identity_entropy():
     h = ag.negative_entropy(3)
-    rng = np.random.default_rng(12)
-    for _ in range(1000):
-        x1, x2, x3 = (h.draw(rng) for _ in range(3))
+    for x1, x2, x3 in draws(h, 3000, 12).reshape(1000, 3, h.dim):
         assert ag.three_point_residual(h, x1, x2, x3) <= 1e-10
 
 
@@ -82,8 +85,7 @@ def test_hessian_solve_inverts_hessian():
     rng = np.random.default_rng(5)
     step = 1e-5
     for h in all_generators():
-        for _ in range(100):
-            point = h.draw(rng)
+        for point in draws(h, 100, 5):
             rhs = rng.standard_normal(h.dim)
             w = h.hessian_solve(point, rhs)
             if h.hessian is not None:
@@ -95,11 +97,9 @@ def test_hessian_solve_inverts_hessian():
 
 
 def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(6)
     step = 1e-5
     for h in all_generators():
-        for _ in range(25):
-            x = h.draw(rng)
+        for x in draws(h, 25, 6):
             g = h.gradient(x)
             for i in range(h.dim):
                 e = np.zeros(h.dim)
@@ -110,12 +110,12 @@ def test_gradient_matches_finite_differences():
 
 def _logsumexp_objective(dim):
     def value(x):
-        m = float(np.max(x))
-        return m + float(np.log(np.sum(np.exp(x - m))))
+        m = np.max(x, axis=-1, keepdims=True)
+        return (m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True)))[..., 0]
 
     def gradient(x):
-        e = np.exp(x - np.max(x))
-        return e / np.sum(e)
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
 
     return ag.Objective(dim=dim, value=value, gradient=gradient, sigma=0.0, name="logsumexp")
 
@@ -124,7 +124,7 @@ def test_uniform_convexity_equality_case():
     h = ag.squared_euclidean(2)
     f = ag.Objective(
         dim=2,
-        value=lambda x: 0.5 * float(x @ x),
+        value=lambda x: 0.5 * np.sum(x * x, axis=-1),
         gradient=lambda x: x,
         sigma=1.0,
         minimizer=np.zeros(2),
@@ -145,7 +145,7 @@ def test_uniform_convexity_zero_sigma_convexity():
 def test_uniform_convexity_overclaimed_sigma_fails():
     h = ag.squared_euclidean(2)
     f = ag.Objective(
-        dim=2, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x, sigma=2.0
+        dim=2, value=lambda x: 0.5 * np.sum(x * x, axis=-1), gradient=lambda x: x, sigma=2.0
     )
     rep = ag.check_uniform_convexity(f, h, num_samples=500, seed=2)
     assert not rep.passed
@@ -175,20 +175,56 @@ def test_domain_error_names_offending_point():
 
 
 def test_broken_sampler_is_configuration_error():
-    base = ag.negative_entropy(2)
-    broken = DistanceGenerator(
-        dim=2,
-        value=base.value,
-        gradient=base.gradient,
-        hessian_solve=base.hessian_solve,
-        symmetric=base.symmetric,
-        domain_guard=base.domain_guard,
-        name="broken",
-        sample_point=lambda rng: np.array([-1.0, 2.0]),
-    )
     f = _logsumexp_objective(2)
-    with pytest.raises(ConfigurationError):
-        ag.check_uniform_convexity(f, broken, num_samples=10, seed=0)
+    for sample_point in (
+        lambda u: np.tile([-1.0, 2.0], (len(u), 1)),  # out of the domain
+        lambda u: np.array([0.5, 0.5]),  # one point for a whole row batch
+    ):
+        broken = dataclasses.replace(ag.negative_entropy(2), name="broken", sample_point=sample_point)
+        with pytest.raises(ConfigurationError, match="broken"):
+            ag.check_uniform_convexity(f, broken, num_samples=10, seed=0)
+        with pytest.raises(ConfigurationError, match="broken"):
+            ag.check_symmetry(broken, num_samples=10, seed=0)
+
+
+@pytest.mark.parametrize("check", ["symmetry", "convexity"])
+def test_sampled_checks_fail_on_nan(check):
+    def nan(x):
+        return np.full(np.shape(x)[:-1], np.nan)
+
+    h = ag.squared_euclidean(2)
+    if check == "symmetry":
+        rep = ag.check_symmetry(dataclasses.replace(h, value=nan), 2500, seed=0)
+        worst = rep.max_scaled_asymmetry
+    else:
+        f = dataclasses.replace(ag.quadratic(np.eye(2), np.zeros(2)).objective, value=nan)
+        rep = ag.check_uniform_convexity(f, h, num_samples=2500, seed=0)
+        worst = rep.min_slack
+    assert rep.passed is False
+    assert np.isnan(worst)
+
+
+def test_convexity_check_rejects_objectives_without_row_batches():
+    f = _logsumexp_objective(3)
+    # a softmax over the whole batch has the right shape but wrong rows
+    flat = dataclasses.replace(f, gradient=lambda x: np.exp(x) / np.sum(np.exp(x)))
+    with pytest.raises(ConfigurationError, match="logsumexp.gradient"):
+        ag.check_uniform_convexity(flat, ag.squared_euclidean(3), num_samples=10, seed=0)
+    # a sum with no axis gives one value for the whole batch
+    flat = dataclasses.replace(f, value=lambda x: float(np.log(np.sum(np.exp(x)))))
+    with pytest.raises(ConfigurationError, match="logsumexp.value"):
+        ag.check_uniform_convexity(flat, ag.squared_euclidean(3), num_samples=10, seed=0)
+
+
+def test_entropy_sampler_is_uniform_on_the_simplex():
+    h = ag.negative_entropy(3)
+    x = draws(h, 20_000, 9)
+    assert x.shape == (20_000, 3) and h.domain_guard(x)
+    assert np.max(np.abs(np.sum(x, axis=-1) - 1.0)) <= 1e-12 and np.min(x) >= 1e-3
+    p = (x - 1e-3) / (1.0 - 3e-3)
+    # uniform on the simplex: each coordinate is Beta(1, 2), mean 1/3, P(p > 1/2) = 1/4
+    assert np.max(np.abs(np.mean(p, axis=0) - 1.0 / 3.0)) <= 0.01
+    assert np.max(np.abs(np.mean(p > 0.5, axis=0) - 0.25)) <= 0.01
 
 
 def test_non_spd_matrix_rejected():
@@ -200,9 +236,7 @@ def test_non_spd_matrix_rejected():
 
 @pytest.mark.parametrize("h", all_generators(), ids=lambda h: h.name)
 def test_generator_row_batches_match_one_point_calls(h):
-    rng = np.random.default_rng(3)
-    ys = np.array([h.draw(rng) for _ in range(6)]).reshape(2, 3, h.dim)
-    xs = np.array([h.draw(rng) for _ in range(6)]).reshape(2, 3, h.dim)
+    ys, xs = draws(h, 12, 3).reshape(2, 2, 3, h.dim)
 
     def close(batch, one_point):
         one_point = np.asarray(one_point, dtype=float)

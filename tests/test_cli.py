@@ -589,19 +589,23 @@ def test_config_values_are_read_without_interpolation(tmp_path):
 
 
 def test_smooth_demo_does_not_import_numpy_random(tmp_path):
-    # numpy 1.x imports numpy.random with numpy itself; 2.x loads it on first use
+    # numpy 1.x imports numpy.random with numpy itself; 2.x loads it on first use;
+    # the sampled checks of bregman draw from the certificate's stream too
     code = (
         "import sys, numpy; loaded = 'numpy.random' in sys.modules; import agflow.cli; "
         f"code = agflow.cli.main(['smooth-demo', '--out', {str(tmp_path)!r}, '--quiet']); "
-        "print(code, loaded, 'numpy.random' in sys.modules)"
+        "import agflow as ag; spec = ag.l1_denoise(numpy.array([2.0, 0.1]), 1.0); "
+        "sym = ag.check_symmetry(ag.negative_entropy(3), 100, seed=0).passed; "
+        "conv = ag.check_uniform_convexity(spec.objective, spec.generator, 100, seed=0).passed; "
+        "print(code, loaded, 'numpy.random' in sys.modules, sym, conv)"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    code, loaded, after = done.stdout.split()
+    code, loaded, after, sym, conv = done.stdout.split()
     if loaded == "True":
         pytest.skip("this numpy imports numpy.random on import")
-    assert (code, after) == ("0", "False")
+    assert (code, after, sym, conv) == ("0", "False", "False", "True")
 
 
 @pytest.mark.parametrize("command", ["simulate", "smooth-demo"])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import lyapunov, smoothing
+from agflow import bregman, lyapunov
+from agflow.bregman import _uniforms
 from agflow.dynamics import _integrate_core
 from agflow.errors import ConfigurationError, ScheduleError
-from agflow.smoothing import MU_MAX, SmoothApproximation, _uniforms, add_smooth_part
+from agflow.smoothing import MU_MAX, SmoothApproximation, add_smooth_part
 
 
 def test_huber_values_at_reference_points():
@@ -359,11 +360,20 @@ def test_uniform_stream_is_splitmix64():
 
 @pytest.mark.parametrize("chunk", [7, 1024])
 def test_certificate_does_not_depend_on_its_row_batches(monkeypatch, chunk):
-    a, _ = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
-    monkeypatch.setattr(smoothing, "_CERT_CHUNK", 1000)
-    reference = ag.certify_smooth_approx(a, num_samples=2500, seed=3)
-    monkeypatch.setattr(smoothing, "_CERT_CHUNK", chunk)
-    assert ag.certify_smooth_approx(a, num_samples=2500, seed=3) == reference
+    # nor do the sampled checks of bregman, which share its row batches
+    a, spec = ag.l1_denoise_approximation(np.array([2.0, 0.1]), 1.0)
+
+    def reports():
+        return (
+            ag.certify_smooth_approx(a, num_samples=2500, seed=3),
+            ag.check_uniform_convexity(spec.objective, spec.generator, num_samples=2500, seed=3),
+            ag.check_symmetry(ag.negative_entropy(3), num_samples=2500, seed=3),
+        )
+
+    monkeypatch.setattr(bregman, "_CHECK_CHUNK", 1000)
+    reference = reports()
+    monkeypatch.setattr(bregman, "_CHECK_CHUNK", chunk)
+    assert reports() == reference
 
 
 @pytest.mark.parametrize("field", ["grad_mu", "grad_x"])

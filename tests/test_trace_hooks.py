@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import agflow.cli as cli
-from agflow import dynamics, lyapunov, problems, schedules, smoothing
+from agflow import bregman, dynamics, lyapunov, problems, schedules, smoothing
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -156,7 +156,7 @@ def test_tracer_reaches_every_wrapped_name(installed_tracer, tmp_path):
     quad, smooth = (_integrator_metadata(tmp_path, name) for name in ("quad", "smooth"))
     assert (quad["path"], smooth["path"]) == ("composed_maps", "stepping_loop")
     # and three per row batch of the summary's 10 000-sample certificate
-    cert_calls = 3 * math.ceil(10_000 / smoothing._CERT_CHUNK)
+    cert_calls = 3 * math.ceil(10_000 / bregman._CHECK_CHUNK)
     assert probes["smoothing.grad_x"].count - cert_calls == 4 * 1000 == smooth["gradient_evaluations"]
     assert probes["problems.grad"].count == quad["gradient_evaluations"]
     assert tracer.steps == 2000 + 1000 == quad["steps"] + smooth["steps"]
