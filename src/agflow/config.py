@@ -205,6 +205,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigurationError("[integrator].record_stride must be >= 1")
     t0 = get_float("integrator", "t0", default=default.t0)
     grid_num = get_int("integrator", "grid_num", default.grid_num)
+    if grid_num < 2:
+        raise ConfigurationError("[integrator].grid_num must be >= 2")
 
     variant = text("lyapunov", "variant", default.variant)
     if variant not in VARIANT_KINDS:

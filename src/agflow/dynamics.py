@@ -6,7 +6,8 @@ The second-order flow is integrated as the first-order pair (x, z) with
     hess_h(z) zdot = -K [grad h(z) - grad h(x)]  -  e^(alpha - eta) grad f(x)
 
 by classical fixed-step RK4, with e^alpha, K and e^(alpha - eta)
-(`schedules.flow_coefficients`) sampled on the half-step grid in one pass.
+(`schedules.flow_coefficients`) sampled on the half-step grid one chunk of
+steps at a time (`_CoefficientStream`), as the walk reaches them.
 Every flow is stepped in the deviation d = z - x, where it reads
 
     xdot = e^alpha d,   ddot = -(kappa + e^alpha) d + F,   F = -scale raw(x, d)
@@ -52,7 +53,13 @@ from .errors import (
     TimeDomainError,
 )
 from .rk4 import _composed_maps, _folded_stage_coefficients
-from .schedules import ScheduleFamily, ScheduleSample, flow_coefficients, is_standard_form
+from .schedules import (
+    ScheduleFamily,
+    ScheduleSample,
+    flow_coefficients,
+    is_standard_form,
+    standard_form_gap,
+)
 
 Vector = np.ndarray
 
@@ -124,7 +131,7 @@ class Trajectory:
         ea, K, ema = flow_coefficients(s)
         times = self.times.tolist()
         grad = lambda x, k: self.gradient_of(x, times[k])  # noqa: E731
-        kappa, scale, raw = _stage_forcing(self.h, grad, K, ema)
+        kappa, scale, raw = _stage_forcing(self.h, grad, K, ema, 0)
         x, d = self.states_x, self.states_z - self.states_x
         F = np.zeros_like(d)
         for k in range(1, len(self) - 1):
@@ -300,7 +307,7 @@ def rhs_general(
         if not h.domain_guard(p):
             raise IntegrationError(f"{label} = {p} left the domain of {h.name}", last_state=state)
     ea, K, ema = flow_coefficients(s)
-    kappa, scale, raw = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]))
+    kappa, scale, raw = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]), 0)
     d = z - x
     return ea * d, -scale[0] * raw(0, x, d) - kappa[0] * d
 
@@ -350,7 +357,7 @@ def integrate(
     """Integrate the flow and record diagnostics every `record_stride` steps.
 
     The horizon is snapped to a whole number of steps.  `variant` None is
-    resolved by `lyapunov.resolve_variant` on the half-step grid; an f that
+    resolved by `lyapunov.resolve_variant` over the half-step grid; an f that
     is not smooth needs a `lyapunov.Smoothed` variant (see `_integrate_core`).
     """
     return _integrate_core(h, f, family, config, x0, v0, variant=variant)
@@ -364,6 +371,30 @@ def half_step_grid(config: IntegratorConfig):
     """
     n_steps = max(1, int(round((config.t_end - config.t0) / config.step)))
     return n_steps, config.t0 + 0.5 * config.step * np.arange(2 * n_steps + 1)
+
+
+class _CoefficientStream:
+    """The flow coefficients of `family` on the half-step grid `tgrid`, one
+    chunk of steps at a time: `chunk(k0, k1)` samples grid points 2 k0 .. 2 k1,
+    those of steps k0..k1-1, and returns (e^alpha, K, e^(alpha - eta)) there
+    (`flow_coefficients`).
+
+    It folds what the run needs of the whole grid over the chunks it hands
+    out, exactly: whether exp(pi) > 0 anywhere (`lyapunov.resolve_variant`)
+    and the `standard_form_gap`.  Both are complete once a walk has reached
+    its last step.
+    """
+
+    def __init__(self, family: ScheduleFamily, tgrid: np.ndarray):
+        self.family, self.tgrid = family, tgrid
+        self.exp_pi_positive = False
+        self.standard_gap = np.zeros(2)
+
+    def chunk(self, k0: int, k1: int) -> tuple:
+        s = self.family.sample(self.tgrid[2 * k0 : 2 * k1 + 1])
+        self.exp_pi_positive = self.exp_pi_positive or bool(np.any(s.exp_pi > 0))
+        self.standard_gap = np.maximum(self.standard_gap, standard_form_gap(s))
+        return flow_coefficients(s)
 
 
 def _integrate_core(
@@ -404,9 +435,7 @@ def _integrate_core(
     hstep = config.step
     t_end = config.t0 + n_steps * hstep
 
-    # Schedule coefficients on the half-step grid, one vectorized evaluation.
-    sg = family.sample(tgrid)
-    ea_g, K_g, ema_g = flow_coefficients(sg)
+    coefficients = _CoefficientStream(family, tgrid)
 
     base_grad = f.gradient
     grad = lambda x, j: base_grad(x)  # noqa: E731
@@ -423,7 +452,8 @@ def _integrate_core(
     if sigma is None:
         sigma = 0.0 if smoothed else f.sigma
 
-    variant, fallback = lyapunov.resolve_variant(variant, h, sg.exp_pi)
+    # None is resolved after the walk, which samples exp(pi) on the grid
+    lyapunov.check_variant(variant, h)
 
     if f.minimizer is None:
         raise ConfigurationError("objective needs a declared minimizer for diagnostics")
@@ -446,11 +476,11 @@ def _integrate_core(
     if modes is None:
         path = "stepping_loop"
         grad_evals = 4 * n_steps
-        walk = _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events)
+        walk = _stepping_loop(h, grad, coefficients.chunk, hstep, x, z, events)
     else:
         path = "composed_maps"
         grad_evals = _HESSIAN_CHECK_POINTS
-        walk = _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events)
+        walk = _composed_maps(modes, coefficients.chunk, hstep, x, z, events)
 
     recorded = (events % stride == 0) | (events == n_steps)
     rec_steps = np.concatenate(([0], events[recorded]))
@@ -471,14 +501,16 @@ def _integrate_core(
             xs[r:k], zs[r:k] = X[rec], Z[rec]
             r = k
 
-    grid_idx = 2 * rec_steps
-    s_rec = ScheduleSample(**{name: v[grid_idx] for name, v in vars(sg).items()})
-    standard_form = h.identity_hessian and is_standard_form(sg)
+    variant, fallback = lyapunov.resolve_variant(variant, h, coefficients.exp_pi_positive)
+    standard_form = h.identity_hessian and is_standard_form(coefficients.standard_gap)
+    # t0 + k step has the bits of tgrid[2k]: 0.5 step 2k is exact
+    times = config.t0 + rec_steps * hstep
+    mu_rec = mu_g[2 * rec_steps] if smoothed else None
     # free the half-step grid before the diagnostics pass (the finished walk
     # holds none of it)
-    del tgrid, sg, ea_g, K_g, ema_g
+    del tgrid, coefficients
     diag = lyapunov.record_diagnostics(
-        variant, h, f, s_rec, xs, zs, xstar, fstar, sigma, mu=mu_g[grid_idx] if smoothed else None
+        variant, h, f, family.sample(times), xs, zs, xstar, fstar, sigma, mu=mu_rec
     )
 
     metadata = {
@@ -507,7 +539,7 @@ def _integrate_core(
         metadata["smoothing"] = {"approximation": a.name, "mu": mu_sched.description}
 
     return Trajectory(
-        times=config.t0 + rec_steps * hstep,
+        times=times,
         states_x=xs,
         states_z=zs,
         records=diag,
@@ -540,49 +572,51 @@ def _check_block(h, t0, hstep, steps, X, Z, prev):
         last_valid = FlowState(t, X[i], Z[i])
 
 
-def _stage_forcing(h, grad, K_g, ema_g):
+def _stage_forcing(h, grad, K, ema, j0):
     """The flow in deviation coordinates d = z - x, for any generator h:
     xdot = e^alpha d, ddot = -(kappa + e^alpha) d + F, F = -scale raw(j, x, d)
     at half-step grid point j, where
       kappa = K, scale = e^(alpha - eta), raw = grad f(x)  when hess h = I;
       kappa = 0, scale = 1, raw = hess_h(z)^-1 [K (grad h(z) - grad h(x))
                                   + e^(alpha - eta) grad f(x)]  otherwise,
-    with K from `schedules.flow_coefficients` and z = x + d.  Returns kappa
-    and scale on the grid (no new grid-sized arrays) and `raw`; `grad(x, j)`
-    is grad f at grid point j.
+    with K from `schedules.flow_coefficients` and z = x + d.  K and ema hold
+    K and e^(alpha - eta) at grid points j0, j0 + 1, ...  Returns kappa and
+    scale at those points (no new arrays of their size) and `raw`; `grad(x,
+    j)` is grad f at grid point j.
     """
     if h.identity_hessian:
-        return K_g, ema_g, lambda j, x, d: grad(x, j)
+        return K, ema, lambda j, x, d: grad(x, j)
 
     gh, solve = h.gradient, h.hessian_solve
 
     def raw(j, x, d):
         z = x + d
         try:
-            return solve(z, K_g[j] * (gh(z) - gh(x)) + ema_g[j] * grad(x, j))
+            return solve(z, K[j - j0] * (gh(z) - gh(x)) + ema[j - j0] * grad(x, j))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Hessian solve failed at z = {z}: {exc}") from exc
 
-    return np.broadcast_to(0.0, K_g.shape), np.broadcast_to(1.0, K_g.shape), raw
+    return np.broadcast_to(0.0, K.shape), np.broadcast_to(1.0, K.shape), raw
 
 
 # Steps per chunk of stage coefficients: bounds their transient memory.
 _STEP_CHUNK = 256
 
 
-def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
+def _stepping_loop(h, grad, coefficients, hstep, x, z, events):
     """RK4 stepping for any generator and gradient, in deviation coordinates
     (`_stage_forcing`); yields the block (steps, X, Z) of each step listed in
     `events` on its own, so no step is taken past a state that fails its check.
 
-    Y = [x, d, G_1 .. G_4] holds the state and the stages' raw forcings; the
-    stage coefficients over it (`_folded_stage_coefficients`) are built per
-    chunk of `_STEP_CHUNK` steps, so a stage is one product and one `raw`
-    call.  x enters every point with coefficient 1, so a rest point (d = 0,
-    F = 0) stays exact.  This is the general path and the reference the
-    composed maps are tested against.
+    Y = [x, d, G_1 .. G_4] holds the state and the stages' raw forcings.  Per
+    chunk of `_STEP_CHUNK` steps k0..k1-1, `coefficients(k0, k1)` gives
+    (e^alpha, K, e^(alpha - eta)) at grid points 2 k0 .. 2 k1 (see
+    `_CoefficientStream`), and the stage coefficients over Y are built from
+    them (`_folded_stage_coefficients`), so a stage is one product and one
+    `raw` call.  x enters every point with coefficient 1, so a rest point
+    (d = 0, F = 0) stays exact.  This is the general path and the reference
+    the composed maps are tested against.
     """
-    kappa_g, scale_g, raw = _stage_forcing(h, grad, K_g, ema_g)
     Y = np.empty((6, x.size))
     Y[0], Y[1] = x, z - x
     x, d, G1, G2, G3, G4 = Y  # views: every step writes them in place
@@ -595,11 +629,13 @@ def _stepping_loop(h, grad, ea_g, K_g, ema_g, hstep, x, z, events):
     e, end = 0, next(ends)
     for k0 in range(0, n_steps, _STEP_CHUNK):
         k1 = min(k0 + _STEP_CHUNK, n_steps)
-        chunk = _folded_stage_coefficients(ea_g, kappa_g, scale_g, hstep, k0, k1)
+        ea, K, ema = coefficients(k0, k1)
+        kappa, scale, raw = _stage_forcing(h, grad, K, ema, 2 * k0)
+        chunk = _folded_stage_coefficients(ea, kappa, scale, hstep)
         # `raw` is handed rows of Y and S, which the next product overwrites
         # (see `Objective`).  The method `dot` is a shorter call than np.dot
         # or @ on these tiny operands, and `out=` saves an array per stage.
-        for j, P2, P3, P4, U in zip(range(2 * k0, 2 * n_steps, 2), *chunk):
+        for j, P2, P3, P4, U in zip(range(2 * k0, 2 * k1, 2), *chunk):
             G1[...] = raw(j, x, d)
             P2.dot(Y3, S)
             G2[...] = raw(j + 1, xs, ds)

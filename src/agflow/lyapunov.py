@@ -49,12 +49,18 @@ class Smoothed:
     name = "smoothed"
 
 
+def check_variant(variant, h: DistanceGenerator) -> None:
+    """Raise PreconditionError for Symmetric on a non-symmetric h."""
+    if isinstance(variant, Symmetric) and not h.symmetric:
+        raise PreconditionError("symmetric variant requires a symmetric generator")
+
+
 def resolve_variant(variant, h: DistanceGenerator, exp_pi) -> tuple:
     """(variant, warnings): None becomes Symmetric if exp(pi) > 0 somewhere
     and h is symmetric, else Standard (with a warning if exp(pi) > 0).
-    Symmetric on a non-symmetric h raises PreconditionError."""
-    if isinstance(variant, Symmetric) and not h.symmetric:
-        raise PreconditionError("symmetric variant requires a symmetric generator")
+    `exp_pi` may be an array or a bool already folded over a grid (exp(pi)
+    > 0 somewhere).  `check_variant` runs first."""
+    check_variant(variant, h)
     if variant is None and np.any(exp_pi > 0):
         if h.symmetric:
             return Symmetric(), []

@@ -5,17 +5,19 @@ Both integration paths of `dynamics` step
 
     xdot = a d,   ddot = -b d + F
 
-with a = e^alpha and b = kappa + e^alpha on the half-step grid.  Each RK4
-stage point and the step update are linear in d and the stages' forcings,
-with coefficients built per chunk of steps (`_rk4_stage_coefficients`); the
-stepping loop folds x and the forcings' scale into them.  A linear flow split
-into 2x2 modes has the forcing F = -e^(alpha - eta) lam u per mode, so each
-step is a linear map per mode, built from the same coefficients
-(`_rk4_step_maps`).  Every entry of such a map is quadratic in lam, so the
-maps are built at three nodes at most and interpolated to every mode
-(`_map_nodes`); they are composed per block of steps between check points,
-and the blocks are walked with prefix products inside groups of consecutive
-blocks (`_walk`, `_composed_maps`).
+with a = e^alpha and b = kappa + e^alpha on the half-step grid.  Both take
+the schedule's coefficients one chunk of steps at a time, sampled on that
+chunk's grid points only (`dynamics._CoefficientStream`).  Each RK4 stage
+point and the step update are linear in d and the stages' forcings, with
+coefficients built per chunk (`_rk4_stage_coefficients`); the stepping loop
+folds x and the forcings' scale into them.  A linear flow split into 2x2
+modes has the forcing F = -e^(alpha - eta) lam u per mode, so each step is a
+linear map per mode, built from the same coefficients (`_rk4_step_maps`).
+Every entry of such a map is quadratic in lam, so the maps are built at
+three nodes at most, per run of steps from that run's coefficients, and
+interpolated to every mode (`_map_nodes`); they are composed per block of
+steps between check points, and the blocks are walked with prefix products
+inside groups of consecutive blocks (`_walk`, `_composed_maps`).
 """
 
 from __future__ import annotations
@@ -23,21 +25,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
-    """RK4 on xdot = a d, ddot = -b d + F as coefficients of steps k0..k1-1.
+def _rk4_stage_coefficients(ea, kappa, hstep):
+    """RK4 on xdot = a d, ddot = -b d + F as coefficients of m steps.
 
-    a = e^alpha and b = kappa + e^alpha at the loop's half-step grid points.
+    a = e^alpha and b = kappa + e^alpha at the steps' 2m + 1 half-step grid
+    points, given as `ea` and `kappa`; step i has its stages at points 2i,
+    2i + 1 and 2i + 2.
     Stage s (s = 1..4) sits at (x + P[0] @ Y, P[1] @ Y) for Y = [d, F_1 ..
     F_(s-1)] and the step maps (x, d) to (x + U[0] @ Y, U[1] @ Y) for Y =
     [d, F_1 .. F_4], where F_s is the forcing at stage s.  Returns the stage
     coefficients P of stages 2, 3 and 4, of shapes (m, 2, 2), (m, 2, 3) and
-    (m, 2, 4), and U, of shape (m, 2, 5), for the m = k1 - k0 steps.  The
-    step maps use them as they are; the stepping loop folds x and the
-    forcings' scale into them (`_folded_stage_coefficients`).
+    (m, 2, 4), and U, of shape (m, 2, 5), for the m steps.  The step maps
+    use them as they are; the stepping loop folds x and the forcings' scale
+    into them (`_folded_stage_coefficients`).
     """
-    grid = slice(2 * k0, 2 * k1 + 1)  # the chunk's half-step grid points
-    a, b = ea_g[grid], kappa_g[grid] + ea_g[grid]
-    j = 2 * np.arange(k1 - k0)
+    a, b = ea, kappa + ea
+    j = 2 * np.arange(ea.size // 2)
     half = 0.5 * hstep
     basis = np.eye(5)
     points = (j, j + 1, j + 1, j + 2)  # each stage's grid point in the chunk
@@ -57,21 +60,22 @@ def _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
     return (*stages, U)
 
 
-def _folded_stage_coefficients(ea_g, kappa_g, scale_g, hstep, k0, k1):
-    """`_rk4_stage_coefficients` of steps k0..k1-1 over Y = [x, d, G_1 .. G_4],
-    where F_s = -scale G_s at stage s's grid point.
+def _folded_stage_coefficients(ea, kappa, scale, hstep):
+    """`_rk4_stage_coefficients` of m steps over Y = [x, d, G_1 .. G_4], where
+    F_s = -scale G_s at stage s's grid point; the arguments are given at the
+    steps' 2m + 1 grid points.
 
     Stage s sits at P @ Y[:s + 1] and the step maps (x, d) to U @ Y: x enters
     with coefficient 1, and each G_s column is the F_s column times -scale.
     Returns the folded P of stages 2, 3 and 4, of shapes (m, 2, 3), (m, 2, 4)
-    and (m, 2, 5), and U, of shape (m, 2, 6), for the m = k1 - k0 steps.
+    and (m, 2, 5), and U, of shape (m, 2, 6), for the m steps.
     """
-    j = 2 * np.arange(k0, k1)
+    j = 2 * np.arange(ea.size // 2)
     # -scale at each stage's grid point, one column per stage
-    neg_scale = -np.stack([scale_g[j], scale_g[j + 1], scale_g[j + 1], scale_g[j + 2]], axis=1)
+    neg_scale = -np.stack([scale[j], scale[j + 1], scale[j + 1], scale[j + 2]], axis=1)
     x_col = np.broadcast_to([[1.0], [0.0]], (j.size, 2, 1))
     folded = []
-    for C in _rk4_stage_coefficients(ea_g, kappa_g, hstep, k0, k1):
+    for C in _rk4_stage_coefficients(ea, kappa, hstep):
         n_forcings = C.shape[2] - 1
         G = C[:, :, 1:] * neg_scale[:, None, :n_forcings]
         folded.append(np.concatenate((x_col, C[:, :, :1], G), axis=2))
@@ -84,8 +88,9 @@ _NODE_STEPS = 512
 _MAP_CHUNK = 4096
 
 
-def _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, k0, k1):
-    """RK4 step maps y -> M y of steps k0..k1-1, for each eigenvalue in lam.
+def _rk4_step_maps(ea, K, ema, lam, hstep):
+    """RK4 step maps y -> M y of m steps, for each eigenvalue in lam, from
+    e^alpha, K and e^(alpha - eta) at the steps' 2m + 1 grid points.
 
     Mode i is the stepping loop's flow on y = (u_i, d_i) with the forcing
     F = g u, g = -e^(alpha - eta) lam_i (see `dynamics._modal_form`).  The basis
@@ -96,9 +101,9 @@ def _rk4_step_maps(ea_g, K_g, ema_g, lam, hstep, k0, k1):
     entrywise on (steps, lam.size) arrays.  Returns M of shape
     (2, 2, steps, lam.size).
     """
-    *P, U = _rk4_stage_coefficients(ea_g, K_g, hstep, k0, k1)
-    j = 2 * np.arange(k0, k1)
-    g = [-ema_g[p, None] * lam for p in (j, j + 1, j + 1, j + 2)]
+    *P, U = _rk4_stage_coefficients(ea, K, hstep)
+    j = 2 * np.arange(ea.size // 2)
+    g = [-ema[p, None] * lam for p in (j, j + 1, j + 1, j + 2)]
 
     def row(C, Y):  # sum_k C[:, k] Y_k
         return sum(C[:, k, None] * y for k, y in enumerate(Y))
@@ -198,26 +203,27 @@ def _runs(events, b0, b1, steps):
         b0, start = end, events[end - 1]
 
 
-def _composed_maps(modes, ea_g, K_g, ema_g, hstep, x, z, events):
+def _composed_maps(modes, coefficients, hstep, x, z, events):
     """RK4 on a linear flow as composed per-mode linear maps in deviation
     coordinates; yields the states after the steps listed in `events` as one
     block (steps, X, Z) per chunk.
 
     Each block of steps ends at an event.  The step maps are built at the
-    nodes of `_map_nodes` per run of at least `_NODE_STEPS` steps, then
+    nodes of `_map_nodes` per run of at least `_NODE_STEPS` steps k0..k1-1,
+    from `coefficients(k0, k1)`: (e^alpha, K, e^(alpha - eta)) at grid points
+    2 k0 .. 2 k1 (see `dynamics._CoefficientStream`).  They are then
     expanded to every mode, composed per block and walked (`_walk`) per chunk
     of at most `_MAP_CHUNK` step-modes (or one block), so no temporary grows
-    with the horizon.  RK4
-    commutes with the linear change of variables, so this is the stepping
-    loop's method and differs from it by round-off only; a start at the rest
-    point stays there exactly.
+    with the horizon.  RK4 commutes with the linear change of variables, so
+    this is the stepping loop's method and differs from it by round-off only;
+    a start at the rest point stays there exactly.
     """
     S, lam, x_r, to_modes = modes
     nodes, W = _map_nodes(lam)
     y = np.stack([to_modes @ (x - x_r), to_modes @ (z - x)])
     span = max(1, _MAP_CHUNK // lam.size)
     for a0, a1, k0 in _runs(events, 0, events.size, max(_NODE_STEPS, span)):
-        N = _rk4_step_maps(ea_g, K_g, ema_g, nodes, hstep, k0, events[a1 - 1])
+        N = _rk4_step_maps(*coefficients(k0, events[a1 - 1]), nodes, hstep)
         for b0, b1, s0 in _runs(events, a0, a1, span):
             ev = events[b0:b1]
             st = np.concatenate(([s0], ev[:-1]))

@@ -377,9 +377,18 @@ def flow_coefficients(s: ScheduleSample) -> tuple:
     return ea, s.delta_dot + s.eta_dot - s.alpha_dot - ea, np.exp(s.alpha - s.eta)
 
 
-def is_standard_form(s: ScheduleSample) -> bool:
-    """eta = 2*alpha on the sample s, to 1e-12 relative to max |eta|."""
-    return bool(np.max(np.abs(s.eta - 2.0 * s.alpha)) <= 1e-12 * (1.0 + np.max(np.abs(s.eta))))
+def standard_form_gap(s: ScheduleSample) -> np.ndarray:
+    """[max |eta - 2*alpha|, max |eta|] on the sample s: the two maxima that
+    `is_standard_form` compares.  Over the pieces of a grid they fold by
+    np.maximum into those of the whole grid."""
+    return np.array([np.max(np.abs(s.eta - 2.0 * s.alpha)), np.max(np.abs(s.eta))])
+
+
+def is_standard_form(s) -> bool:
+    """eta = 2*alpha on the sample s, to 1e-12 relative to max |eta|; s may
+    also be a `standard_form_gap`."""
+    dev, size = standard_form_gap(s) if isinstance(s, ScheduleSample) else s
+    return bool(dev <= 1e-12 * (1.0 + size))
 
 
 def condition_slacks(s: ScheduleSample, sigma: float) -> tuple:

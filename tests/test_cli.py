@@ -583,6 +583,19 @@ def test_seed_outside_the_stream_range_exits_two_before_integrating(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid_num", [1, 0, -3])
+def test_grid_num_below_two_exits_two_before_integrating(tmp_path, capsys, monkeypatch, grid_num):
+    monkeypatch.setattr(cli, "_run_experiment", None)  # a run that starts fails with TypeError
+    out = tmp_path / "o"
+    text = QUAD_CFG.format(t_end=1.0, out=out).replace(
+        "record_stride = 10", f"record_stride = 10\ngrid_num = {grid_num}"
+    )
+    argv = ["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    assert "[integrator].grid_num must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_values_are_read_without_interpolation(tmp_path):
     text = QUAD_CFG.format(t_end=1.0, out="out%x %(seed)s")
     assert load_config(write_cfg(tmp_path, text)).out_dir == "out%x %(seed)s"

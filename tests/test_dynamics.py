@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics, rk4, schedules
+from agflow import dynamics, lyapunov, rk4, schedules
 from agflow.bregman import DistanceGenerator
 from agflow.dynamics import FlowState
 from agflow.errors import (
@@ -478,12 +478,12 @@ def test_node_maps_match_direct_step_maps(spectrum):
     elif spectrum == "three_distinct":
         lam = rng.choice([1.0, 7.5, 100.0], lam.size)
     cfg = ag.IntegratorConfig(t0=0.5, t_end=2.5, step=1e-2)
-    n_steps, tgrid = dynamics.half_step_grid(cfg)
+    _, tgrid = dynamics.half_step_grid(cfg)
     ea, K, ema = schedules.flow_coefficients(ag.Hyperbolic(1.0).sample(tgrid))
-    direct = rk4._rk4_step_maps(ea, K, ema, lam, cfg.step, 0, n_steps)
+    direct = rk4._rk4_step_maps(ea, K, ema, lam, cfg.step)
     nodes, W = rk4._map_nodes(lam)
     assert nodes.size == min(3, len(set(lam.tolist())))
-    interpolated = rk4._rk4_step_maps(ea, K, ema, nodes, cfg.step, 0, n_steps) @ W.T
+    interpolated = rk4._rk4_step_maps(ea, K, ema, nodes, cfg.step) @ W.T
     assert np.max(np.abs(interpolated - direct)) <= 1e-14 * np.max(np.abs(direct))
     if spectrum == "three_distinct":  # each mode takes its own node's map
         assert np.array_equal(interpolated, direct)
@@ -727,3 +727,101 @@ def test_failure_inside_a_composed_block_matches_stepping_loop(failure):
         assert fast.last_state.x == pytest.approx(ref.last_state.x, rel=1e-12)
         assert fast.last_state.z == pytest.approx(ref.last_state.z, rel=1e-12)
         assert abs(fast.last_state.x[0]) < 1.0
+
+
+def _smooth_demo_run(t_end):
+    from agflow import cli
+
+    cfg = dataclasses.replace(cli._SMOOTH_DEMO, t_end=t_end)
+    return lambda: cli._run_experiment(cfg)[0]
+
+
+def _quadratic_run(t_end):
+    """A 64-mode diagonal quadratic with every step recorded: composed maps."""
+    rng = np.random.default_rng(24)
+    lam = _spectrum(rng)
+    spec = ag.quadratic(np.diag(lam), lam * rng.uniform(-1.0, 1.0, lam.size))
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=t_end, step=1e-3, record_stride=1)
+    x0 = rng.uniform(-2.0, 2.0, lam.size)
+    return lambda: ag.integrate(spec.generator, spec.objective, ag.ConstantDamping(2.0, 1.0), cfg, x0)
+
+
+def _entropy_run(t_end):
+    """A quadratic under the negative entropy, on the stepping loop; its
+    schedule's exp(pi) > 0 resolves to the standard variant with a warning."""
+    spec = ag.quadratic(np.diag([1.0, 2.0]), np.array([0.6, 0.8]))
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=t_end, step=1e-3, record_stride=10)
+    h, fam, x0 = ag.negative_entropy(2), ag.PolynomialDamping(1.5), np.array([0.3, 0.4])
+    return lambda: ag.integrate(h, spec.objective, fam, cfg, x0)
+
+
+_WALK_CASES = {"smooth_demo": _smooth_demo_run, "quadratic": _quadratic_run, "entropy": _entropy_run}
+
+
+def _sample_sizes(monkeypatch, run):
+    """`run()` and the size of the times of each `ScheduleFamily.sample` call
+    it makes."""
+    sizes = []
+    sample = schedules.ScheduleFamily.sample
+
+    def recorded(self, t):
+        sizes.append(np.size(t))
+        return sample(self, t)
+
+    monkeypatch.setattr(schedules.ScheduleFamily, "sample", recorded)
+    return run(), sizes
+
+
+@pytest.mark.parametrize("case, t_end", [("smooth_demo", 14.0), ("quadratic", 3.0), ("entropy", 3.0)])
+def test_schedule_is_sampled_one_chunk_of_steps_at_a_time(monkeypatch, case, t_end):
+    traj, sizes = _sample_sizes(monkeypatch, _WALK_CASES[case](t_end))
+    steps = traj.metadata["integrator"]["steps"]
+    if traj.metadata["integrator"]["path"] == "stepping_loop":
+        chunk = dynamics._STEP_CHUNK
+    else:  # 64 modes: the node runs are _NODE_STEPS long
+        chunk = max(rk4._NODE_STEPS, rk4._MAP_CHUNK // traj.states_x.shape[1])
+    bound = 2 * chunk + 1
+    if "smoothing" in traj.metadata:  # mu(t) samples the family per row chunk of its times
+        bound = max(bound, lyapunov.ROW_CHUNK)
+    assert 2 * steps + 1 > 4 * bound
+    # beyond one chunk only the diagnostics' sample at the recorded times
+    assert [n for n in sizes if n > bound] == [len(traj)] * (len(traj) > bound)
+    assert sum(sizes) >= 2 * steps + 1
+
+
+def _bits(traj):
+    """The trajectory's times, states and every Diagnostics array, as bytes."""
+    arrays = [traj.times, traj.states_x, traj.states_z]
+    arrays += [getattr(traj.records, f.name) for f in dataclasses.fields(traj.records)]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_coefficient_chunk_sizes_do_not_change_a_bit(monkeypatch, case):
+    run = _WALK_CASES[case](2.0)
+    ref = run()
+    monkeypatch.setattr(dynamics, "_STEP_CHUNK", 7)
+    # node runs of 64 steps: those of the walk for 64 modes, so only the
+    # coefficients' chunks change (the walk's grouping sets its round-off)
+    monkeypatch.setattr(rk4, "_NODE_STEPS", 8)
+    small = run()
+    assert small.metadata == ref.metadata
+    assert _bits(small) == _bits(ref)
+    if case == "entropy":
+        assert "exp(pi) > 0 needs a symmetric generator" in ref.metadata["warnings"][0]
+
+
+def test_symmetric_variant_on_entropy_raises_before_any_gradient(monkeypatch):
+    calls = []
+    spec = ag.quadratic(np.diag([1.0, 2.0]), np.array([0.6, 0.8]))
+
+    def counted(x):
+        calls.append(1)
+        return spec.objective.gradient(x)
+
+    f = dataclasses.replace(spec.objective, gradient=counted)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-3)
+    h, x0 = ag.negative_entropy(2), np.array([0.3, 0.4])
+    with pytest.raises(PreconditionError, match="symmetric generator"):
+        ag.integrate(h, f, ag.PolynomialDamping(1.5), cfg, x0, variant=ag.Symmetric())
+    assert not calls

@@ -2,18 +2,22 @@
 the composed-maps walk, of the stepping loop and of the rate-preserving
 mu(t) is set by their chunk sizes, not by the number of recorded samples or
 steps; a schedule sample holds no more grid arrays than its family needs.
+A whole smooth-demo `integrate` grows its transient by at most three float64
+values per half-step grid point, since the schedule and flow coefficients
+are sampled per chunk of steps.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import agflow as ag
-from agflow import dynamics, lyapunov, rk4, schedules, smoothing
+from agflow import cli, dynamics, lyapunov, rk4, schedules, smoothing
 
 M = 8 * lyapunov.ROW_CHUNK
 N = 64
@@ -125,12 +129,12 @@ def _walk_transient(n_steps):
     x0 = rng.uniform(-2.0, 2.0, N)
     cfg = ag.IntegratorConfig(t0=0.0, t_end=n_steps * 1e-3, step=1e-3, record_stride=1)
     _, tgrid = dynamics.half_step_grid(cfg)
-    ea, K, ema = schedules.flow_coefficients(ag.ConstantDamping(2.0, 1.0).sample(tgrid))
+    coefficients = dynamics._CoefficientStream(ag.ConstantDamping(2.0, 1.0), tgrid).chunk
     modes = dynamics._modal_form(spec.generator, spec.objective, x0)
     events = np.arange(1, n_steps + 1)
 
     def drain():
-        for block in rk4._composed_maps(modes, ea, K, ema, cfg.step, x0, x0, events):
+        for block in rk4._composed_maps(modes, coefficients, cfg.step, x0, x0, events):
             del block
 
     drain()  # first-use allocations (imports, caches) are not the walk's
@@ -153,11 +157,11 @@ def _loop_transient(n_steps):
     def drain(n):
         cfg = ag.IntegratorConfig(t0=1.0, t_end=1.0 + n * 1e-3, step=1e-3)
         _, tgrid = dynamics.half_step_grid(cfg)
-        ea, K, ema = schedules.flow_coefficients(ag.Hyperbolic(0.0).sample(tgrid))
+        coefficients = dynamics._CoefficientStream(ag.Hyperbolic(0.0), tgrid).chunk
         events = np.arange(10, n + 1, 10)
 
         def run():
-            for block in dynamics._stepping_loop(h, grad, ea, K, ema, cfg.step, x0, x0, events):
+            for block in dynamics._stepping_loop(h, grad, coefficients, cfg.step, x0, x0, events):
                 del block
 
         return run
@@ -184,3 +188,30 @@ def _mu_transient(t_end):
 def test_rate_preserving_mu_transient_does_not_grow_with_the_horizon():
     short, long = _mu_transient(14.0), _mu_transient(53.0)
     assert long <= short + OBJECT_SLACK, (short, long)
+
+
+# Bytes per half-step grid point: the grid itself, mu on it and one
+# temporary of `SmoothingSchedule.on_grid`'s checks, three float64 values.
+# The flow coefficients, sampled on the whole grid at once, took 121.
+GRID_POINT_BOUND = 3 * 8
+
+
+def _integrate_transient(t_end):
+    """(half-step grid points, transient) of smooth-demo's `integrate` from
+    t = 1 to t_end, beyond the trajectory it returns."""
+    cfg = dataclasses.replace(cli._SMOOTH_DEMO, t_end=t_end)
+    family = cfg.build_family()
+    spec, variant = cli._problem_and_variant(cfg, family)
+    icfg = cfg.build_integrator(family)
+    x0, v0 = cfg.initial_point(spec.objective.dim)
+    traj, transient = _transient(
+        ag.integrate, spec.generator, spec.objective, family, icfg, x0, v0, variant
+    )
+    return 2 * traj.metadata["integrator"]["steps"] + 1, transient
+
+
+def test_smooth_demo_integrate_transient_grows_by_three_values_per_grid_point():
+    _integrate_transient(1.5)  # first-use allocations
+    (short_points, short), (long_points, long) = _integrate_transient(14.0), _integrate_transient(53.0)
+    per_point = (long - short) / (long_points - short_points)
+    assert per_point <= GRID_POINT_BOUND, per_point
