@@ -347,16 +347,45 @@ def negative_entropy(dim: int) -> DistanceGenerator:
     )
 
 
-def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
-    """h(x) = (1/2) x^T Q x for a user SPD matrix; dense-factorization solves."""
+def symmetric_eigh(M: np.ndarray) -> tuple:
+    """Eigenvalues w, ascending, and orthonormal eigenvectors V of a symmetric M.
+
+    A matrix whose off-diagonal entries are all exactly zero is read off:
+    its diagonal, and the identity columns, in the order of LAPACK's
+    selection sort, so that ties come out as `np.linalg.eigh` gives them.
+    That is eigh's result bit for bit, up to the sign of a zero eigenvalue,
+    without loading LAPACK.  Any other M goes to `np.linalg.eigh`.
+    """
+    d = np.diag(M)
+    if not np.array_equal(M, np.diag(d)):
+        return np.linalg.eigh(M)
+    order = np.arange(d.size)
+    for i in range(d.size - 1):
+        k = i + int(np.argmin(d[order[i:]]))
+        order[[i, k]] = order[[k, i]]
+    return d[order], np.eye(d.size)[:, order]
+
+
+def spd_eigh(Q) -> tuple:
+    """(Q, w, V): Q as a float array and `symmetric_eigh(Q)`, once Q is a
+    finite, symmetric, positive-definite square matrix; ConfigurationError
+    otherwise."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ConfigurationError("Q must be square")
+    if not np.all(np.isfinite(Q)):
+        raise ConfigurationError("Q must be finite")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ConfigurationError("Q must be symmetric")
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs[0] <= 0:
-        raise ConfigurationError(f"Q must be positive definite (min eigenvalue {eigs[0]:g})")
+    w, V = symmetric_eigh(Q)
+    if w[0] <= 0:
+        raise ConfigurationError(f"Q must be positive definite (min eigenvalue {w[0]:g})")
+    return Q, w, V
+
+
+def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
+    """h(x) = (1/2) x^T Q x for a user SPD matrix; dense-factorization solves."""
+    Q, _, _ = spd_eigh(Q)
     return DistanceGenerator(
         dim=Q.shape[0],
         value=lambda x: 0.5 * _dot(x, np.einsum("...j,ij->...i", x, Q)),

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import g17, lyapunov
-from .bregman import DistanceGenerator, Objective
+from .bregman import DistanceGenerator, Objective, symmetric_eigh
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -680,7 +680,12 @@ def _modal_form(h: DistanceGenerator, f: Objective, x: Vector):
     """Split a flow whose f and h declare constant Hessians into 2x2 modes.
 
     With grad f(x) = G x - r and hess h = H, S solves S^T H S = I and
-    S^T G S = diag(lam).  The rest point is x_r = S u_r with lam u_r = S^T r.
+    S^T G S = diag(lam): H = V diag(w) V^T whitens to W = V / sqrt(w)
+    (H is positive definite iff w[0] > 0, else ConfigurationError), and
+    W^T G W = U diag(lam) U^T gives S = W U.  Both spectra come from
+    `bregman.symmetric_eigh`, which reads a diagonal matrix off, so
+    diagonal H and G need no LAPACK call; H = I gives W = I exactly.
+    The rest point is x_r = S u_r with lam u_r = S^T r.
     In the deviation coordinates u = S^-1 (x - x_r), d = S^-1 (z - x) each
     mode is the stepping loop's identity-generator flow
         u' = e^alpha d,  d' = -(K + e^alpha) d - e^(alpha - eta) lam u.
@@ -693,13 +698,12 @@ def _modal_form(h: DistanceGenerator, f: Objective, x: Vector):
         return None
     G, grad0 = _declared_hessian(f.gradient, f.hessian, x, "objective")
     H, _ = _declared_hessian(h.gradient, h.hessian, x, "generator")
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(f"declared Hessian of {h.name} is not positive definite") from exc
-    L_inv = np.linalg.inv(L)
-    lam, U = np.linalg.eigh(L_inv @ G @ L_inv.T)
-    S = L_inv.T @ U
+    w, V = symmetric_eigh(H)
+    if not w[0] > 0:
+        raise ConfigurationError(f"declared Hessian of {h.name} is not positive definite")
+    W = V / np.sqrt(w)
+    lam, U = symmetric_eigh(W.T @ G @ W)
+    S = W @ U
     c = -(S.T @ grad0)
     flat = np.abs(lam) <= 1e-12 * np.max(np.abs(lam))
     if np.any(np.abs(c[flat]) > 1e-10 * (np.abs(S.T) @ np.abs(grad0))[flat]):

@@ -397,7 +397,12 @@ def integral_estimates(traj) -> IntegralReport:
 
 def fit_rate(traj, model: str, window) -> FittedRate:
     """Least-squares slope of log(f_gap) against t (exponential) or log t
-    (polynomial) over the window, excluding machine-zero gaps."""
+    (polynomial) over the window, excluding machine-zero gaps.
+
+    The line is fitted in closed form on centred data, xc = x - mean(x) and
+    yc = y - mean(y): slope = (xc . yc) / (xc . xc), and the residual is the
+    RMS of yc - slope xc.  No LAPACK least-squares solve is made.
+    """
     if model not in ("exponential", "polynomial"):
         raise ConfigurationError(f"unknown rate model {model!r}")
     lo, hi = float(window[0]), float(window[1])
@@ -416,8 +421,10 @@ def fit_rate(traj, model: str, window) -> FittedRate:
         )
     xv = t[usable] if model == "exponential" else np.log(t[usable])
     yv = np.log(gap[usable])
-    slope, intercept = np.polyfit(xv, yv, 1)
-    resid = float(np.sqrt(np.mean((yv - (slope * xv + intercept)) ** 2)))
+    xc = xv - np.mean(xv)
+    yc = yv - np.mean(yv)
+    slope = (xc @ yc) / (xc @ xc)
+    resid = float(np.sqrt(np.mean((yc - slope * xc) ** 2)))
     return FittedRate(
         model=model,
         window=(lo, hi),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DistanceGenerator, Objective, squared_euclidean
+from .bregman import DistanceGenerator, Objective, spd_eigh, squared_euclidean
 from .errors import ConfigurationError
 
 
@@ -21,17 +21,18 @@ class ProblemSpec:
 
 
 def quadratic(Q, b) -> ProblemSpec:
-    """f(x) = (1/2) x^T Q x - b^T x with SPD Q; x* = Q^-1 b, sigma = lambda_min(Q)."""
-    Q = np.asarray(Q, dtype=float)
+    """f(x) = (1/2) x^T Q x - b^T x with SPD Q; sigma = lambda_min(Q).
+
+    With Q = U diag(lam) U^T from `bregman.spd_eigh`, x* = U ((U^T b) / lam):
+    a diagonal Q is read off (x*_i = b_i / Q_ii) without loading LAPACK.
+    """
+    Q, lam, U = spd_eigh(Q)
     b = np.asarray(b, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or b.shape != (Q.shape[0],):
-        raise ConfigurationError("Q must be square and b conformable")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ConfigurationError("Q must be symmetric")
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs[0] <= 0:
-        raise ConfigurationError(f"Q must be positive definite (min eigenvalue {eigs[0]:g})")
-    xstar = np.linalg.solve(Q, b)
+    if b.shape != (Q.shape[0],):
+        raise ConfigurationError("b must be a vector of length Q.shape[0]")
+    if not np.all(np.isfinite(b)):
+        raise ConfigurationError("b must be finite")
+    xstar = U @ ((U.T @ b) / lam)
     fstar = 0.5 * float(xstar @ (Q @ xstar)) - float(b @ xstar)
     obj = Objective(
         dim=Q.shape[0],
@@ -41,7 +42,7 @@ def quadratic(Q, b) -> ProblemSpec:
             - np.einsum("...i,i->...", x, b)
         ),
         gradient=lambda x: x @ Q.T - b,
-        sigma=float(eigs[0]),
+        sigma=float(lam[0]),
         minimizer=xstar,
         optimal_value=fstar,
         name="quadratic",

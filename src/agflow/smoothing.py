@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bregman import DistanceGenerator, Objective, _box, _row_batch, _row_batches, row_values
+from .bregman import symmetric_eigh
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core
 from .errors import ConfigurationError, ScheduleError
 from .lyapunov import ROW_CHUNK, Smoothed
@@ -149,10 +150,11 @@ def huber_l1(weights) -> SmoothApproximation:
 
 def _smooth_part_alpha(smooth: Objective) -> float:
     """L * MU_MAX, what a smooth term adds to alpha_s for mu <= MU_MAX, where
-    L is the largest eigenvalue of its declared constant `smooth.hessian`."""
+    L is the largest eigenvalue of its declared constant `smooth.hessian`,
+    from `bregman.symmetric_eigh` (read off a diagonal Hessian)."""
     if smooth.hessian is None:
         raise ConfigurationError("the smooth part must declare a constant Hessian")
-    return float(np.linalg.eigvalsh(np.asarray(smooth.hessian, dtype=float))[-1]) * MU_MAX
+    return float(symmetric_eigh(np.asarray(smooth.hessian, dtype=float))[0][-1]) * MU_MAX
 
 
 def add_smooth_part(

@@ -94,6 +94,24 @@ def test_ac04_kinetic_integral_estimates(canonical_runs):
     _report("AC-4 (kinetic integrals below V0)", True, "; ".join(details))
 
 
+def test_closed_form_rate_fit_matches_a_polyfit_oracle(canonical_runs):
+    for run in canonical_runs:
+        traj, entry, fitted = run["traj"], run["entry"], run["fitted"]
+        lo, hi = entry["window"]
+        t, gap = traj.times, traj.records.f_gap
+        in_win = (t >= lo) & (t <= hi)
+        scale = max(1.0, abs(traj.f.optimal_value or 0.0))
+        usable = in_win & (gap > max(np.finfo(float).eps * scale, 1e-13 * np.max(gap[in_win])))
+        x = t[usable] if entry["model"] == "exponential" else np.log(t[usable])
+        y = np.log(gap[usable])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+        assert fitted.num_used == np.count_nonzero(usable), entry["label"]
+        assert abs(fitted.slope - slope) <= 1e-12 * abs(slope), entry["label"]
+        # a residual at round-off (1.5e-13 on `hyperbolic sigma=0`) has no relative digits
+        assert abs(fitted.residual - resid) <= 1e-12 * max(resid, np.max(np.abs(y))), entry["label"]
+
+
 def test_ac05_damping_scale_ode_residual():
     grid = ag.time_grid(0.1, 20.0, 1000)
     worst = max(ag.verify_alpha_ode_residual(s, grid) for s in (0.25, 1.0, 4.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
-from agflow.bregman import DistanceGenerator, _uniforms
+from agflow.bregman import DistanceGenerator, _uniforms, symmetric_eigh
 from agflow.errors import ConfigurationError, DomainError
 
 # independent oracle for the entropy divergence on equal-sum positive vectors:
@@ -232,6 +232,45 @@ def test_non_spd_matrix_rejected():
         ag.from_quadratic_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ConfigurationError):
         ag.diagonal_quadratic([1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "Q, word",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+        (np.array([[2.0, np.inf], [np.inf, 1.0]]), "finite"),
+        (np.array([[2.0, 0.5], [0.4, 1.0]]), "symmetric"),
+        (np.ones((2, 3)), "square"),
+    ],
+)
+def test_from_quadratic_matrix_names_what_is_wrong(Q, word):
+    with pytest.raises(ConfigurationError, match=f"Q must be {word}"):
+        ag.from_quadratic_matrix(Q)
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        [3.0, 1.0, 1.0, 0.0, -2.0, 1.0, 5.0],  # ties, a zero and a negative entry
+        [2.0, 2.0, 2.0],
+        [-1.0, 0.0, 4.0, 4.0, -1.0, 0.5] * 11,  # 66 entries: LAPACK's divide and conquer
+        [7.0],
+    ],
+    ids=["ties", "all_tied", "n66", "scalar"],
+)
+def test_symmetric_eigh_reads_a_diagonal_off_as_eigh_does(diagonal):
+    M = np.diag(diagonal)
+    w, V = symmetric_eigh(M)
+    ref_w, ref_V = np.linalg.eigh(M)
+    assert w.tobytes() == ref_w.tobytes()
+    assert V.tobytes() == ref_V.tobytes()
+
+
+def test_symmetric_eigh_leaves_a_non_diagonal_matrix_to_eigh():
+    M = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    w, V = symmetric_eigh(M)
+    ref_w, ref_V = np.linalg.eigh(M)
+    assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
 
 
 @pytest.mark.parametrize("h", all_generators(), ids=lambda h: h.name)

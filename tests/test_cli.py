@@ -621,6 +621,31 @@ def test_smooth_demo_does_not_import_numpy_random(tmp_path):
     assert (code, after, sym, conv) == ("0", "False", "False", "True")
 
 
+def test_shipped_diagonal_runs_make_no_lapack_call(tmp_path):
+    # every matrix of a diagonal quadratic and of smooth-demo is read off its diagonal;
+    # the rate fit is closed form, so no LAPACK routine is paged in
+    text = QUAD_CFG.format(t_end=10.0, out=tmp_path / "sim")
+    text = text.replace("q_diag = 1 4", "q_diag = 4 1").replace("b = 0 0", "b = 4 -1")
+    cfg = write_cfg(tmp_path, text + "\n[fit]\nmodel = exponential\nwindow = 5 10\n")
+    code = (
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs): raise RuntimeError('LAPACK call')\n"
+        "for name in ('eigh', 'eigvalsh', 'cholesky', 'inv', 'solve', 'lstsq', 'svd'):\n"
+        "    setattr(np.linalg, name, refuse)\n"
+        "np.polyfit = refuse\n"
+        "import agflow.cli as cli\n"
+        f"sim = cli.main(['simulate', '--config', {cfg!r}, '--quiet'])\n"
+        f"demo = cli.main(['smooth-demo', '--out', {str(tmp_path / 'demo')!r}, '--quiet'])\n"
+        "print(sim, demo)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.split() == ["0", "0"], done.stderr
+    summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+    assert summary["fit"]["rate"] > 0.9
+
+
 @pytest.mark.parametrize("command", ["simulate", "smooth-demo"])
 def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
     blocker = tmp_path / "FILE"

@@ -219,6 +219,52 @@ def test_objective_without_stationary_point_is_configuration_error():
         ag.integrate(ag.squared_euclidean(2), f, ag.Hyperbolic(1.0), cfg, np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "h, G",
+    [
+        (ag.from_quadratic_matrix([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]),
+         np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])),
+        (ag.diagonal_quadratic([4.0, 0.25, 1.0]), np.diag([1.0, 9.0, 9.0])),
+        (ag.diagonal_quadratic([4.0, 0.25, 1.0]),
+         np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])),
+    ],
+    ids=["dense_h", "diagonal_h_g", "diagonal_h"],
+)
+def test_modal_form_whitens_h_and_diagonalises_g(h, G):
+    r = np.array([1.0, -2.0, 0.5])
+    f = ag.quadratic(G, r).objective
+    S, lam, x_r, S_inv = dynamics._modal_form(h, f, np.array([0.5, -1.0, 2.0]))
+    H = h.hessian
+    assert np.max(np.abs(S.T @ H @ S - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(S.T @ G @ S - np.diag(lam))) <= 1e-14 * np.max(lam)
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(S_inv @ S - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(G @ x_r - r)) <= 1e-13
+
+
+def test_modal_form_of_a_diagonal_flow_is_a_permutation():
+    # diagonal H and G: lam_i = G_ii / H_ii sorted, S's columns e_i / sqrt(H_ii)
+    h = ag.diagonal_quadratic([4.0, 0.25, 1.0])
+    f = ag.quadratic(np.diag([2.0, 1.0, 3.0]), np.array([2.0, 1.0, 3.0])).objective
+    S, lam, x_r, _ = dynamics._modal_form(h, f, np.zeros(3))
+    assert np.array_equal(lam, [0.5, 3.0, 4.0])
+    assert np.array_equal(S, [[0.5, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(x_r, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "H", [np.diag([1.0, -0.5]), np.array([[1.0, 2.0], [2.0, 1.0]])], ids=["diagonal", "dense"]
+)
+def test_indefinite_generator_hessian_is_configuration_error(H):
+    h = dataclasses.replace(ag.squared_euclidean(2), gradient=lambda x: x @ H, hessian=H, name="indefinite")
+    f = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 4.0])).objective
+    with pytest.raises(ConfigurationError, match="declared Hessian of indefinite is not positive definite"):
+        dynamics._modal_form(h, f, np.ones(2))
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=1.0, step=1e-2)
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        ag.integrate(h, f, ag.ConstantDamping(2.0, 1.0), cfg, np.ones(2))
+
+
 def test_kinetic_identity_for_euclidean_generator():
     # e^(2 alpha) D_h(x + e^-alpha v, x) equals ||v||^2 / 2 exactly
     rng = np.random.default_rng(9)

@@ -23,6 +23,30 @@ def test_identity_quadratic():
     assert np.array_equal(spec.objective.minimizer, np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "Q, b, word",
+    [
+        (np.diag([2.0, 1.0]), [np.inf, 1.0], "b must be finite"),
+        (np.diag([2.0, 1.0]), [np.nan, 1.0], "b must be finite"),
+        (np.diag([np.nan, 1.0]), [1.0, 1.0], "Q must be finite"),
+        (np.array([[2.0, -np.inf], [-np.inf, 1.0]]), [1.0, 1.0], "Q must be finite"),
+        (np.diag([2.0, 1.0]), [1.0, 1.0, 1.0], "b must be a vector"),
+        (np.diag([2.0, -1.0]), [1.0, 1.0], "positive definite"),
+    ],
+)
+def test_quadratic_names_the_argument_that_is_wrong(Q, b, word):
+    with pytest.raises(ConfigurationError, match=word):
+        ag.quadratic(Q, b)
+
+
+def test_quadratic_minimizer_of_a_dense_matrix():
+    Q = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    spec = ag.quadratic(Q, b)
+    assert np.max(np.abs(Q @ spec.objective.minimizer - b)) <= 1e-14
+    assert spec.objective.sigma == pytest.approx(np.linalg.eigvalsh(Q)[0], rel=1e-14)
+
+
 def test_diagonal_quadratic_minimizer():
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     assert spec.objective.minimizer == pytest.approx(np.array([1.0, 1.0]))
