@@ -384,13 +384,15 @@ def spd_eigh(Q) -> tuple:
 
 
 def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
-    """h(x) = (1/2) x^T Q x for a user SPD matrix; dense-factorization solves."""
-    Q, _, _ = spd_eigh(Q)
+    """h(x) = (1/2) x^T Q x for a user SPD matrix Q = V diag(w) V^T; a Hessian
+    solve is V ((V^T rhs) / w), on one vector or a row batch, with no
+    factorization per call."""
+    Q, w, V = spd_eigh(Q)
     return DistanceGenerator(
         dim=Q.shape[0],
         value=lambda x: 0.5 * _dot(x, np.einsum("...j,ij->...i", x, Q)),
         gradient=lambda x: np.einsum("...j,ij->...i", x, Q),
-        hessian_solve=lambda point, rhs: np.linalg.solve(Q, rhs),
+        hessian_solve=lambda point, rhs: ((rhs @ V) / w) @ V.T,
         symmetric=True,
         domain_guard=lambda x: bool(np.isfinite(x).all()),
         name="quadratic_matrix",

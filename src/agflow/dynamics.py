@@ -373,6 +373,18 @@ def half_step_grid(config: IntegratorConfig):
     return n_steps, config.t0 + 0.5 * config.step * np.arange(2 * n_steps + 1)
 
 
+def _event_steps(n_steps: int, stride: int) -> np.ndarray:
+    """The steps after which a run's state is checked or recorded, ascending:
+    every min(stride, 25)-th, every stride-th, and the last.  They are read
+    off a boolean mask over the steps, one byte a step."""
+    check_every = max(1, min(stride, 25))
+    mask = np.zeros(n_steps + 1, dtype=bool)
+    mask[check_every::check_every] = True
+    mask[stride::stride] = True
+    mask[n_steps] = True
+    return np.flatnonzero(mask)
+
+
 class _CoefficientStream:
     """The flow coefficients of `family` on the half-step grid `tgrid`, one
     chunk of steps at a time: `chunk(k0, k1)` samples grid points 2 k0 .. 2 k1,
@@ -467,11 +479,7 @@ def _integrate_core(
         raise IntegrationError("initial state outside the generator domain", last_state=state0)
 
     stride = config.record_stride
-    check_every = max(1, min(stride, 25))
-    # steps after which the state is checked or recorded
-    events = np.array(
-        sorted({*range(check_every, n_steps, check_every), *range(stride, n_steps, stride), n_steps})
-    )
+    events = _event_steps(n_steps, stride)
     modes = None if smoothed and not a.exact else _modal_form(h, f, x)
     if modes is None:
         path = "stepping_loop"

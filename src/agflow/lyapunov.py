@@ -88,6 +88,8 @@ class Diagnostics:
     runs (0 otherwise).  `len` counts the samples, and iteration yields them
     as `DiagnosticsRecord` rows, read by `Trajectory.to_dict` and by the
     benchmark's `perfbench/child.py::_final_state`; the rest take the arrays.
+    Iteration converts `ROW_CHUNK // len(DIAGNOSTIC_FIELDS)` rows at a time,
+    so it holds at most `ROW_CHUNK` Python floats, whatever the row count.
     """
 
     t: np.ndarray
@@ -111,15 +113,17 @@ class Diagnostics:
         return int(self.t.size)
 
     def __iter__(self):
-        for k0 in range(0, len(self), ROW_CHUNK):
-            cols = [getattr(self, name)[k0 : k0 + ROW_CHUNK].tolist() for name in DIAGNOSTIC_FIELDS]
+        rows = ROW_CHUNK // len(DIAGNOSTIC_FIELDS)
+        for k0 in range(0, len(self), rows):
+            cols = [getattr(self, name)[k0 : k0 + rows].tolist() for name in DIAGNOSTIC_FIELDS]
             yield from map(DiagnosticsRecord._make, zip(*cols))
 
 
 DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(Diagnostics))
 
-# Rows per chunk of the diagnostics pass, of the table writers' worker ranges,
-# and of the row iteration's conversion to Python floats.
+# Rows per chunk of the diagnostics pass and of the table writers' worker
+# ranges, and values per window of the row iteration's conversion to Python
+# floats.
 ROW_CHUNK = 1024
 
 

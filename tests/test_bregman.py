@@ -96,6 +96,18 @@ def test_hessian_solve_inverts_hessian():
             assert np.linalg.norm(back - rhs) <= tol * (1.0 + np.linalg.norm(rhs))
 
 
+def test_hessian_solve_takes_row_batches():
+    # a batch of right-hand sides is solved row by row, at one point
+    rng = np.random.default_rng(6)
+    for h in all_generators():
+        point = draws(h, 1, 7)[0]
+        rows = rng.standard_normal((5, h.dim))
+        batch = h.hessian_solve(point, rows)
+        one_by_one = np.array([h.hessian_solve(point, r) for r in rows])
+        assert batch.shape == rows.shape, h.name
+        assert np.allclose(batch, one_by_one, rtol=1e-14, atol=0.0), h.name
+
+
 def test_gradient_matches_finite_differences():
     step = 1e-5
     for h in all_generators():

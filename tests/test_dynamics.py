@@ -420,6 +420,33 @@ def test_hessian_solve_failure_is_numerical_error():
         ag.rhs_general(broken, spec.objective, s, FlowState(0.0, np.ones(1), np.zeros(1)))
 
 
+def test_dense_generator_stepping_loop_makes_no_linalg_solve(monkeypatch):
+    # a dense h is solved from its eigenpairs, not factorized at every RK4 stage
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    H = np.array([[1.5, 0.2], [0.2, 0.8]])
+    f = dataclasses.replace(ag.quadratic(np.diag([2.0, 1.0]), np.array([1.0, -0.5])).objective, hessian=None)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
+    traj = ag.integrate(ag.from_quadratic_matrix(H), f, ag.PolynomialDamping(3.0), cfg, np.array([1.0, -1.0]))
+    assert traj.metadata["integrator"]["path"] == "stepping_loop"
+    assert traj.metadata["integrator"]["steps"] == 100
+    assert calls == []
+
+
+def _event_steps_oracle(n_steps, stride):
+    check_every = max(1, min(stride, 25))
+    steps = {*range(check_every, n_steps, check_every), *range(stride, n_steps, stride), n_steps}
+    return np.array(sorted(steps))
+
+
+def test_event_steps_match_a_set_oracle():
+    for n_steps in (1, 2, 24, 25, 26, 99, 1000, 1001, 1013):
+        for stride in (1, 7, 25, 26, 40, 1001, 2000):
+            events, expect = dynamics._event_steps(n_steps, stride), _event_steps_oracle(n_steps, stride)
+            assert events.dtype == expect.dtype == np.int64, (n_steps, stride)
+            assert np.array_equal(events, expect), (n_steps, stride)
+
+
 def test_second_order_residual_is_differencing_small():
     spec = scalar_quadratic()
     fam = ag.ConstantDamping(2.0, 1.0)
@@ -802,6 +829,19 @@ def _entropy_run(t_end):
 
 
 _WALK_CASES = {"smooth_demo": _smooth_demo_run, "quadratic": _quadratic_run, "entropy": _entropy_run}
+
+
+def test_record_rows_match_the_columns():
+    # smooth-demo's 1301 rows: the last window of the row iteration is short
+    records = _smooth_demo_run(14.0)().records
+    window = lyapunov.ROW_CHUNK // len(lyapunov.DIAGNOSTIC_FIELDS)
+    assert len(records) == 1301 and len(records) % window != 0
+    rows = list(records)
+    assert len(rows) == len(records)
+    for name in lyapunov.DIAGNOSTIC_FIELDS:
+        column = [getattr(row, name) for row in rows]
+        assert all(type(v) is float for v in column), name
+        assert np.array(column).tobytes() == getattr(records, name).tobytes(), name
 
 
 def _sample_sizes(monkeypatch, run):

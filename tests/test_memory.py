@@ -1,10 +1,12 @@
 """The transient memory of the diagnostics pass, of the table writers, of
-the composed-maps walk, of the stepping loop and of the rate-preserving
-mu(t) is set by their chunk sizes, not by the number of recorded samples or
-steps; a schedule sample holds no more grid arrays than its family needs.
-A whole smooth-demo `integrate` grows its transient by at most three float64
-values per half-step grid point, since the schedule and flow coefficients
-are sampled per chunk of steps.
+the row iteration over `Diagnostics`, of the composed-maps walk, of the
+stepping loop and of the rate-preserving mu(t) is set by their chunk sizes,
+not by the number of recorded samples or steps: the row iteration holds one
+window of `ROW_CHUNK` Python floats.  A schedule sample holds no more grid
+arrays than its family needs, and a run's event list is read off a mask of
+one byte a step.  A whole smooth-demo `integrate` grows its transient by at
+most three float64 values per half-step grid point, since the schedule and
+flow coefficients are sampled per chunk of steps.
 
 "Transient" is what a call allocates at its peak beyond what it leaves held
 (its result), as `tracemalloc` sees it; numpy registers its buffers there.
@@ -28,6 +30,9 @@ DIAGNOSTICS_BOUND = 2 * lyapunov.ROW_CHUNK * N * 8
 # (CSV: the formatter's arrays, about 160 bytes a value, and the chunk's text;
 # JSON: the float object, its list slot, and its share of the row strings).
 WRITER_BOUND = 128 * 2**13
+# Bytes: 128 KiB, 128 bytes for each of the ROW_CHUNK Python floats of a
+# window of rows (the float, its list slot and its record slot, about 40).
+ITERATION_BOUND = 128 * lyapunov.ROW_CHUNK
 
 
 def _transient(fn, *args):
@@ -86,6 +91,17 @@ def test_writer_transient_is_one_text_chunk(recorded, tmp_path, monkeypatch, wri
     monkeypatch.setattr(dynamics, "_writer_count", lambda rows: 2)
     _, transient = _transient(getattr(traj, writer), tmp_path / "table")
     assert transient <= WRITER_BOUND, transient
+
+
+def test_row_iteration_transient_is_one_window(recorded):
+    diag, _ = _diagnostics(recorded)
+
+    def drain():
+        for row in diag:
+            del row
+
+    _, transient = _transient(drain)
+    assert transient <= ITERATION_BOUND, transient
 
 
 # Points of a schedule grid: the half-step grid of 10^4 RK4 steps.
@@ -215,3 +231,11 @@ def test_smooth_demo_integrate_transient_grows_by_three_values_per_grid_point():
     (short_points, short), (long_points, long) = _integrate_transient(14.0), _integrate_transient(53.0)
     per_point = (long - short) / (long_points - short_points)
     assert per_point <= GRID_POINT_BOUND, per_point
+
+
+def test_event_list_transient_is_one_byte_a_step():
+    # beyond the int64 steps it returns: the mask alone
+    n_steps = 10**6
+    events, transient = _transient(dynamics._event_steps, n_steps, 1)
+    assert events.size == n_steps
+    assert transient <= n_steps + OBJECT_SLACK, transient
