@@ -6,11 +6,9 @@ from .bregman import (
     bregman_div,
     check_symmetry,
     check_uniform_convexity,
-    diagonal_quadratic,
-    from_quadratic_matrix,
     negative_entropy,
+    quadratic_generator,
     squared_euclidean,
-    three_point_residual,
 )
 from .dynamics import (
     FlowState,
@@ -18,8 +16,6 @@ from .dynamics import (
     Trajectory,
     initial_state,
     integrate,
-    rhs_general,
-    rhs_l2,
 )
 from .lyapunov import (
     Diagnostics,
@@ -31,11 +27,10 @@ from .lyapunov import (
     bound_check,
     fit_rate,
     integral_estimates,
-    lyapunov_value,
     monotonicity_report,
     render_rate_table,
 )
-from .problems import flat_quadratic, l1_denoise, l1_subgradient_gap, quadratic, soft_threshold
+from .problems import flat_quadratic, l1_denoise, quadratic, soft_threshold
 from .schedules import (
     ConditionReport,
     ConstantDamping,

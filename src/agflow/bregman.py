@@ -7,7 +7,8 @@ A distance generator is a strongly convex function h whose induced divergence
 is the metric-like quantity everything downstream (flows, Lyapunov values,
 condition checks) is phrased in.  Generators expose Hessian access as a
 solve, because the stepping loop only ever needs the inverse Hessian applied
-to a vector; quadratic generators also declare their constant Hessian.
+to a vector.  Every quadratic h(x) = (1/2) x^T Q x comes from one constructor,
+`quadratic_generator`, and declares its constant Hessian Q.
 """
 
 from __future__ import annotations
@@ -156,19 +157,6 @@ def bregman_div(h: DistanceGenerator, y: Vector, x: Vector):
     return float(d) if d.ndim == 0 else d
 
 
-def three_point_residual(h: DistanceGenerator, x1: Vector, x2: Vector, x3: Vector) -> float:
-    """Absolute defect of the three-point decomposition of divergences.
-
-    Evaluates |[grad h(x2) - grad h(x3)]^T (x1 - x2)
-               - (-D_h(x1,x2) + D_h(x1,x3) - D_h(x2,x3))|,
-    which is zero in exact arithmetic for any convex h.  The divergences
-    check each point against h's domain before a gradient is taken.
-    """
-    rhs = -bregman_div(h, x1, x2) + bregman_div(h, x1, x3) - bregman_div(h, x2, x3)
-    x1, x2, x3 = (np.asarray(p, dtype=float) for p in (x1, x2, x3))
-    return abs(float((h.gradient(x2) - h.gradient(x3)) @ (x1 - x2)) - rhs)
-
-
 # The tolerance of `check_uniform_convexity` and `check_symmetry`, and the
 # samples per row batch of every sampled check (also `certify_smooth_approx`).
 SAMPLED_TOLERANCE = 1e-10
@@ -287,37 +275,6 @@ def _dot(x: Vector, y: Vector):
     return np.einsum("...i,...i->...", x, y)
 
 
-def squared_euclidean(dim: int) -> DistanceGenerator:
-    """h(x) = (1/2) ||x||^2; the divergence is (1/2) ||y - x||^2."""
-    return DistanceGenerator(
-        dim=dim,
-        value=lambda x: 0.5 * _dot(x, x),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        hessian_solve=lambda point, rhs: np.asarray(rhs, dtype=float),
-        symmetric=True,
-        domain_guard=lambda x: bool(np.isfinite(x).all()),
-        name="squared_euclidean",
-        hessian=np.eye(dim),
-    )
-
-
-def diagonal_quadratic(weights) -> DistanceGenerator:
-    """h(x) = (1/2) x^T diag(w) x with all w_i > 0."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ConfigurationError("diagonal weights must be finite and positive")
-    return DistanceGenerator(
-        dim=w.size,
-        value=lambda x: 0.5 * _dot(x, w * x),
-        gradient=lambda x: w * x,
-        hessian_solve=lambda point, rhs: rhs / w,
-        symmetric=True,
-        domain_guard=lambda x: bool(np.isfinite(x).all()),
-        name="diagonal_quadratic",
-        hessian=np.diag(w),
-    )
-
-
 def negative_entropy(dim: int) -> DistanceGenerator:
     """h(x) = sum_i x_i log x_i on the positive orthant.
 
@@ -368,11 +325,13 @@ def symmetric_eigh(M: np.ndarray) -> tuple:
 
 def spd_eigh(Q) -> tuple:
     """(Q, w, V): Q as a float array and `symmetric_eigh(Q)`, once Q is a
-    finite, symmetric, positive-definite square matrix; ConfigurationError
-    otherwise."""
+    nonempty, finite, symmetric, positive-definite square matrix;
+    ConfigurationError otherwise."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ConfigurationError("Q must be square")
+    if Q.size == 0:
+        raise ConfigurationError("Q must be nonempty")
     if not np.all(np.isfinite(Q)):
         raise ConfigurationError("Q must be finite")
     if not np.allclose(Q, Q.T, atol=1e-12):
@@ -383,18 +342,38 @@ def spd_eigh(Q) -> tuple:
     return Q, w, V
 
 
-def from_quadratic_matrix(Q: np.ndarray) -> DistanceGenerator:
-    """h(x) = (1/2) x^T Q x for a user SPD matrix Q = V diag(w) V^T; a Hessian
-    solve is V ((V^T rhs) / w), on one vector or a row batch, with no
-    factorization per call."""
+def quadratic_generator(Q) -> DistanceGenerator:
+    """h(x) = (1/2) x^T Q x for a finite, symmetric, positive-definite Q
+    (`spd_eigh` checks it; ConfigurationError otherwise).
+
+    A diagonal Q = diag(q), the identity included, is read off: grad h = q x
+    and a Hessian solve is rhs / q.  Any other Q = V diag(w) V^T solves from
+    its eigenpairs, V ((V^T rhs) / w), on one vector or a row batch, with no
+    factorization per call.  The name follows from Q: squared_euclidean for
+    I, diagonal_quadratic for another diagonal Q, quadratic_matrix otherwise.
+    """
     Q, w, V = spd_eigh(Q)
+    q = np.diag(Q)
+    if np.array_equal(Q, np.diag(q)):
+        name = "squared_euclidean" if np.all(q == 1.0) else "diagonal_quadratic"
+        gradient = lambda x: q * x  # noqa: E731
+        solve = lambda point, rhs: rhs / q  # noqa: E731
+    else:
+        name = "quadratic_matrix"
+        gradient = lambda x: np.einsum("...j,ij->...i", x, Q)  # noqa: E731
+        solve = lambda point, rhs: ((rhs @ V) / w) @ V.T  # noqa: E731
     return DistanceGenerator(
-        dim=Q.shape[0],
-        value=lambda x: 0.5 * _dot(x, np.einsum("...j,ij->...i", x, Q)),
-        gradient=lambda x: np.einsum("...j,ij->...i", x, Q),
-        hessian_solve=lambda point, rhs: ((rhs @ V) / w) @ V.T,
+        dim=q.size,
+        value=lambda x: 0.5 * _dot(x, gradient(x)),
+        gradient=gradient,
+        hessian_solve=solve,
         symmetric=True,
         domain_guard=lambda x: bool(np.isfinite(x).all()),
-        name="quadratic_matrix",
+        name=name,
         hessian=Q,
     )
+
+
+def squared_euclidean(dim: int) -> DistanceGenerator:
+    """h(x) = (1/2) ||x||^2; the divergence is (1/2) ||y - x||^2."""
+    return quadratic_generator(np.eye(dim))

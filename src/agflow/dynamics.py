@@ -49,13 +49,11 @@ from .errors import (
     DivergenceError,
     IntegrationError,
     NumericalError,
-    PreconditionError,
     TimeDomainError,
 )
 from .rk4 import _composed_maps, _folded_stage_coefficients
 from .schedules import (
     ScheduleFamily,
-    ScheduleSample,
     flow_coefficients,
     is_standard_form,
     standard_form_gap,
@@ -296,42 +294,6 @@ def initial_state(x0: Vector, v0: Vector, family: ScheduleFamily, t0: float) -> 
     return FlowState(t=float(t0), x=x0, z=x0 + np.exp(-s.alpha) * v0)
 
 
-def rhs_general(
-    h: DistanceGenerator, f: Objective, s: ScheduleSample, state: FlowState
-):
-    """Right-hand side (xdot, zdot) of the first-order pair for a general
-    generator h, evaluated by the stepping loop's own stage forcing:
-    xdot = e^alpha d and zdot = -kappa d + F with d = z - x."""
-    x, z = state.x, state.z
-    for label, p in (("x", x), ("z", z)):
-        if not h.domain_guard(p):
-            raise IntegrationError(f"{label} = {p} left the domain of {h.name}", last_state=state)
-    ea, K, ema = flow_coefficients(s)
-    kappa, scale, raw = _stage_forcing(h, lambda x, j: f.gradient(x), np.array([K]), np.array([ema]), 0)
-    d = z - x
-    return ea * d, -scale[0] * raw(0, x, d) - kappa[0] * d
-
-
-def rhs_l2(f: Objective, s: ScheduleSample, state: FlowState):
-    """Standard-form right-hand side: requires eta = 2*alpha.
-
-    xdot = e^alpha (z - x);
-    zdot = -(delta_dot + alpha_dot - e^alpha)(z - x) - e^(-alpha) grad f(x).
-    Equivalent second-order form: xddot + delta_dot*xdot + grad f(x) = 0.
-    """
-    if not is_standard_form(s):
-        raise PreconditionError(
-            f"standard form requires eta = 2*alpha (eta={s.eta!r}, alpha={s.alpha!r})"
-        )
-    x, z = state.x, state.z
-    ea = np.exp(s.alpha)
-    # eta_dot = 2*alpha_dot here, so this equals delta_dot + alpha_dot - e^alpha;
-    # written this way it matches rhs_general bit-for-bit on squared_euclidean.
-    coef = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-    d = z - x
-    return ea * d, -coef * d - np.exp(s.alpha - s.eta) * f.gradient(x)
-
-
 def _stability_check(family: ScheduleFamily, t0: float, step: float) -> list:
     """Warn about a stiff initial layer; returns the warnings' texts."""
     ea0 = float(np.exp(family.sample(t0).alpha))
@@ -373,16 +335,22 @@ def half_step_grid(config: IntegratorConfig):
     return n_steps, config.t0 + 0.5 * config.step * np.arange(2 * n_steps + 1)
 
 
-def _event_steps(n_steps: int, stride: int) -> np.ndarray:
-    """The steps after which a run's state is checked or recorded, ascending:
-    every min(stride, 25)-th, every stride-th, and the last.  They are read
-    off a boolean mask over the steps, one byte a step."""
+def _event_steps(n_steps: int, stride: int) -> tuple:
+    """(events, recorded): the steps at which a run's state is checked or
+    recorded, ascending (step 0, every min(stride, 25)-th, every stride-th
+    and the last), and for each whether it is recorded (step 0, every
+    stride-th and the last).  Both are read off one boolean mask over the
+    steps, one byte a step."""
     check_every = max(1, min(stride, 25))
     mask = np.zeros(n_steps + 1, dtype=bool)
-    mask[check_every::check_every] = True
-    mask[stride::stride] = True
+    mask[::check_every] = True
+    mask[::stride] = True
     mask[n_steps] = True
-    return np.flatnonzero(mask)
+    events = np.flatnonzero(mask)
+    mask[::check_every] = False
+    mask[::stride] = True
+    mask[n_steps] = True
+    return events, mask[events]
 
 
 class _CoefficientStream:
@@ -478,36 +446,24 @@ def _integrate_core(
     if not (h.domain_guard(x) and h.domain_guard(z)):
         raise IntegrationError("initial state outside the generator domain", last_state=state0)
 
-    stride = config.record_stride
-    events = _event_steps(n_steps, stride)
+    events, recorded = _event_steps(n_steps, config.record_stride)
+    rec_steps = events[recorded]
     modes = None if smoothed and not a.exact else _modal_form(h, f, x)
     if modes is None:
         path = "stepping_loop"
         grad_evals = 4 * n_steps
-        walk = _stepping_loop(h, grad, coefficients.chunk, hstep, x, z, events)
+        walk = _stepping_loop(h, grad, coefficients.chunk, hstep, x, z, events[1:])
     else:
         path = "composed_maps"
         grad_evals = _HESSIAN_CHECK_POINTS
-        walk = _composed_maps(modes, coefficients.chunk, hstep, x, z, events)
+        walk = _composed_maps(modes, coefficients.chunk, hstep, x, z, events[1:])
 
-    recorded = (events % stride == 0) | (events == n_steps)
-    rec_steps = np.concatenate(([0], events[recorded]))
     xs = np.empty((rec_steps.size, x.size))
     zs = np.empty((rec_steps.size, x.size))
     xs[0], zs[0] = x, z
-    prev = (rec_steps[:1], x[None], z[None])  # the block checked last
-    e = 0  # events walked
-    r = 1  # rows recorded
-
-    with np.errstate(all="ignore"):
-        for steps, X, Z in walk:
-            _check_block(h, config.t0, hstep, steps, X, Z, prev)
-            prev = (steps, X, Z)
-            rec = recorded[e : e + steps.size]
-            e += steps.size
-            k = r + np.count_nonzero(rec)
-            xs[r:k], zs[r:k] = X[rec], Z[rec]
-            r = k
+    _walk_and_record(h, config.t0, hstep, walk, events, recorded, xs, zs)
+    # the event list is not needed past the walk (the exhausted walk holds none of it)
+    del events, recorded
 
     variant, fallback = lyapunov.resolve_variant(variant, h, coefficients.exp_pi_positive)
     standard_form = h.identity_hessian and is_standard_form(coefficients.standard_gap)
@@ -558,6 +514,23 @@ def _integrate_core(
         variant=variant,
         gradient_of=gradient_of,
     )
+
+
+def _walk_and_record(h, t0, hstep, walk, events, recorded, xs, zs):
+    """Check every block (steps, X, Z) of `walk` (`_check_block`) and copy
+    its recorded states into xs, zs from row 1 on; events[0] = 0 is the
+    initial state, row 0.  `recorded` flags the `events` to record."""
+    prev = (events[:1], xs[:1], zs[:1])  # the block checked last
+    e = r = 1  # events walked and rows recorded, the initial state's included
+    with np.errstate(all="ignore"):
+        for steps, X, Z in walk:
+            _check_block(h, t0, hstep, steps, X, Z, prev)
+            prev = (steps, X, Z)
+            rec = recorded[e : e + steps.size]
+            e += steps.size
+            k = r + np.count_nonzero(rec)
+            xs[r:k], zs[r:k] = X[rec], Z[rec]
+            r = k
 
 
 def _check_block(h, t0, hstep, steps, X, Z, prev):

@@ -153,25 +153,6 @@ def _energy(variant, h: DistanceGenerator, s: ScheduleSample, x, xstar, d_xstar_
     return np.exp(s.nu) * (np.exp(s.eta) * d_xstar_z + gap)
 
 
-def lyapunov_value(
-    variant,
-    h: DistanceGenerator,
-    f: Objective,
-    s: ScheduleSample,
-    state,
-    xstar: np.ndarray,
-) -> float:
-    """Evaluate the variant's V at one flow state (`resolve_variant` resolves None)."""
-    if xstar is None:
-        raise ConfigurationError("objective has no declared minimizer")
-    variant = resolve_variant(variant, h, s.exp_pi)[0]
-    xstar = np.asarray(xstar, dtype=float)
-    fstar = f.optimal_value if f.optimal_value is not None else float(f.value(xstar))
-    mu = variant.mu_schedule.mu(s.t) if isinstance(variant, Smoothed) else None
-    d_xstar_z = bregman_div(h, xstar, state.z)
-    return float(_energy(variant, h, s, state.x, xstar, d_xstar_z, f.value(state.x) - fstar, mu))
-
-
 def _cumulative_trapezoid(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of g over t, starting at 0."""
     return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (g[:-1] + g[1:]))))

@@ -106,14 +106,3 @@ def l1_denoise(y, w: float) -> ProblemSpec:
     )
     return ProblemSpec(objective=obj, generator=squared_euclidean(y.size))
 
-
-def l1_subgradient_gap(y, w: float, xstar) -> float:
-    """Max violation of the optimality certificate 0 in the subdifferential:
-    |(x* - y)_i| <= w at zero coordinates, (x* - y)_i + w sign(x*_i) = 0 elsewhere."""
-    y = np.asarray(y, dtype=float)
-    xstar = np.asarray(xstar, dtype=float)
-    resid = xstar - y
-    at_zero = np.maximum(np.abs(resid) - w, 0.0)
-    elsewhere = np.abs(resid + w * np.sign(xstar))
-    gap = np.where(xstar == 0.0, at_zero, elsewhere)
-    return float(np.max(gap, initial=0.0))

@@ -12,7 +12,8 @@ import pytest
 
 import agflow as ag
 from agflow.cli import canonical_grid, run_canonical
-from agflow.dynamics import FlowState
+from agflow.schedules import is_standard_form
+from oracles import flow_rhs, stage_rhs, three_point_residual
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -145,13 +146,13 @@ def test_ac07_divergence_identities_and_gradients():
     rng = np.random.default_rng(2024)
     generators = [
         ag.squared_euclidean(3),
-        ag.diagonal_quadratic([1.0, 4.0, 0.25]),
+        ag.quadratic_generator(np.diag([1.0, 4.0, 0.25])),
         ag.negative_entropy(3),
     ]
     worst_resid = 0.0
     for h in generators:
         for x1, x2, x3 in h.sample_point(rng.uniform(size=(3000, h.dim))).reshape(1000, 3, h.dim):
-            worst_resid = max(worst_resid, ag.three_point_residual(h, x1, x2, x3))
+            worst_resid = max(worst_resid, three_point_residual(h, x1, x2, x3))
     assert worst_resid <= 1e-10
 
     objectives = [
@@ -234,14 +235,18 @@ def test_ac10_general_rhs_specializes_to_standard_form():
         ag.PolynomialDamping(3.0),
         ag.PolynomialDamping(6.0),
     ]
+    # the integrator's stage forcing against the textbook equation of the
+    # Euclidean flow (`oracles.flow_rhs`), every family in the standard form
     worst = 0.0
+    grad_f = lambda t, x: spec.objective.gradient(x)  # noqa: E731
     for fam in families:
+        textbook = flow_rhs(fam, grad_f, lambda p: p, lambda z, g: g)
         for _ in range(1000):
             s = fam.sample(rng.uniform(max(fam.t_min, 0.2), 10.0))
-            st = FlowState(s.t, rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-            g = ag.rhs_general(spec.generator, spec.objective, s, st)
-            l2 = ag.rhs_l2(spec.objective, s, st)
-            for a, b in zip(g, l2):
+            assert is_standard_form(s), fam.name
+            x, z = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+            g = stage_rhs(spec.generator, spec.objective, s, x, z)
+            for a, b in zip(g, textbook(s.t, x, z)):
                 scale = 1.0 + float(np.max(np.abs(b)))
                 worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     _report(

@@ -6,6 +6,7 @@ import pytest
 import agflow as ag
 from agflow.bregman import DistanceGenerator, _uniforms, symmetric_eigh
 from agflow.errors import ConfigurationError, DomainError
+from oracles import three_point_residual
 
 # independent oracle for the entropy divergence on equal-sum positive vectors:
 # sum_i y_i log(y_i / x_i), evaluated before the build
@@ -20,9 +21,9 @@ def draws(h, count, seed):
 def all_generators():
     return [
         ag.squared_euclidean(3),
-        ag.diagonal_quadratic([1.0, 4.0, 0.25]),
+        ag.quadratic_generator(np.diag([1.0, 4.0, 0.25])),
         ag.negative_entropy(3),
-        ag.from_quadratic_matrix(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        ag.quadratic_generator(np.array([[2.0, 0.5], [0.5, 1.0]])),
     ]
 
 
@@ -66,17 +67,17 @@ def test_l2_divergence_is_half_squared_distance():
 def test_three_point_identity_trivial_and_random():
     h = ag.squared_euclidean(3)
     p = np.array([0.1, -0.4, 2.0])
-    assert ag.three_point_residual(h, p, p, p) == 0.0
+    assert three_point_residual(h, p, p, p) == 0.0
     rng = np.random.default_rng(11)
     for _ in range(500):
         x1, x2, x3 = (rng.uniform(-2, 2, 3) for _ in range(3))
-        assert ag.three_point_residual(h, x1, x2, x3) <= 1e-12
+        assert three_point_residual(h, x1, x2, x3) <= 1e-12
 
 
 def test_three_point_identity_entropy():
     h = ag.negative_entropy(3)
     for x1, x2, x3 in draws(h, 3000, 12).reshape(1000, 3, h.dim):
-        assert ag.three_point_residual(h, x1, x2, x3) <= 1e-10
+        assert three_point_residual(h, x1, x2, x3) <= 1e-10
 
 
 def test_hessian_solve_inverts_hessian():
@@ -167,7 +168,7 @@ def test_uniform_convexity_overclaimed_sigma_fails():
 
 def test_symmetry_quadratic_passes_entropy_fails():
     assert ag.check_symmetry(ag.squared_euclidean(3), 200, seed=0).passed
-    assert ag.check_symmetry(ag.diagonal_quadratic([1.0, 2.0]), 200, seed=0).passed
+    assert ag.check_symmetry(ag.quadratic_generator(np.diag([1.0, 2.0])), 200, seed=0).passed
     rep = ag.check_symmetry(ag.negative_entropy(2), 200, seed=0)
     assert not rep.passed
     assert rep.max_asymmetry > 1e-4
@@ -241,9 +242,9 @@ def test_entropy_sampler_is_uniform_on_the_simplex():
 
 def test_non_spd_matrix_rejected():
     with pytest.raises(ConfigurationError):
-        ag.from_quadratic_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ag.quadratic_generator(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ConfigurationError):
-        ag.diagonal_quadratic([1.0, -1.0])
+        ag.quadratic_generator(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize(
@@ -253,11 +254,51 @@ def test_non_spd_matrix_rejected():
         (np.array([[2.0, np.inf], [np.inf, 1.0]]), "finite"),
         (np.array([[2.0, 0.5], [0.4, 1.0]]), "symmetric"),
         (np.ones((2, 3)), "square"),
+        (np.diag([1.0, 0.0]), "positive definite"),
+        (np.zeros((0, 0)), "nonempty"),
     ],
 )
 def test_from_quadratic_matrix_names_what_is_wrong(Q, word):
     with pytest.raises(ConfigurationError, match=f"Q must be {word}"):
-        ag.from_quadratic_matrix(Q)
+        ag.quadratic_generator(Q)
+
+
+QUADRATIC_CASES = {
+    "identity": np.eye(3),
+    "diagonal": np.diag([1.0, 3.0, 0.7]),
+    "dense": np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]),
+}
+
+
+def _former_quadratic(Q):
+    """(name, value, gradient, hessian_solve) of the one-purpose constructors
+    that `quadratic_generator` replaces, written out: h = |x|^2 / 2 for I,
+    x^T diag(w) x / 2 for a diagonal Q, and a dense Q solved from its eigenpairs."""
+    dot = lambda x, y: np.einsum("...i,...i->...", x, y)  # noqa: E731
+    w = np.diag(Q)
+    if np.array_equal(Q, np.eye(len(Q))):
+        return "squared_euclidean", lambda x: 0.5 * dot(x, x), lambda x: np.asarray(x), lambda p, r: r
+    if np.array_equal(Q, np.diag(w)):
+        return "diagonal_quadratic", lambda x: 0.5 * dot(x, w * x), lambda x: w * x, lambda p, r: r / w
+    lam, V = np.linalg.eigh(Q)
+    grad = lambda x: np.einsum("...j,ij->...i", x, Q)  # noqa: E731
+    return "quadratic_matrix", lambda x: 0.5 * dot(x, grad(x)), grad, lambda p, r: ((r @ V) / lam) @ V.T
+
+
+@pytest.mark.parametrize("case", QUADRATIC_CASES)
+def test_quadratic_generator_matches_the_former_constructors(case):
+    Q = QUADRATIC_CASES[case]
+    h = ag.quadratic_generator(Q)
+    name, value, gradient, solve = _former_quadratic(Q)
+    assert h.name == name and h.symmetric and h.dim == 3
+    assert h.identity_hessian == (case == "identity")
+    assert h.hessian.tobytes() == Q.tobytes()
+    rng = np.random.default_rng(13)
+    for x, rhs in ((rng.uniform(-2, 2, 3), rng.standard_normal(3)),
+                   (rng.uniform(-2, 2, (5, 3)), rng.standard_normal((5, 3)))):
+        assert np.asarray(h.value(x)).tobytes() == np.asarray(value(x)).tobytes()
+        assert h.gradient(x).tobytes() == gradient(x).tobytes()
+        assert h.hessian_solve(x, rhs).tobytes() == solve(x, rhs).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 import agflow as ag
 from agflow import dynamics, lyapunov, rk4, schedules
 from agflow.bregman import DistanceGenerator
-from agflow.dynamics import FlowState
 from agflow.errors import (
     ConfigurationError,
     DivergenceError,
@@ -18,6 +17,7 @@ from agflow.errors import (
     PreconditionError,
     TimeDomainError,
 )
+from oracles import stage_rhs
 
 
 def scalar_quadratic():
@@ -46,22 +46,24 @@ def test_rhs_stationary_at_optimum():
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     xstar = spec.objective.minimizer
     s = ag.ConstantDamping(2.0, 1.0).sample(1.0)
-    xdot, zdot = ag.rhs_general(
-        spec.generator, spec.objective, s, FlowState(1.0, xstar, xstar)
-    )
+    xdot, zdot = stage_rhs(spec.generator, spec.objective, s, xstar, xstar)
     assert np.linalg.norm(xdot) <= 1e-14
     assert np.linalg.norm(zdot) <= 1e-14
 
 
 def test_rhs_general_specializes_to_l2():
+    # the Hessian-solve branch of the stage forcing, on h = |x|^2 / 2 with
+    # no declared Hessian, against its identity-Hessian branch
     rng = np.random.default_rng(0)
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+    general = dataclasses.replace(spec.generator, hessian=None)
+    assert spec.generator.identity_hessian and not general.identity_hessian
     fam = ag.Hyperbolic(1.0)
     for _ in range(200):
         s = fam.sample(rng.uniform(0.3, 10.0))
-        st = FlowState(s.t, rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-        g = ag.rhs_general(spec.generator, spec.objective, s, st)
-        l = ag.rhs_l2(spec.objective, s, st)
+        x, z = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+        g = stage_rhs(general, spec.objective, s, x, z)
+        l = stage_rhs(spec.generator, spec.objective, s, x, z)
         for a, b in zip(g, l):
             assert np.max(np.abs(a - b)) <= 1e-14 * (1.0 + np.max(np.abs(b)))
 
@@ -82,7 +84,7 @@ def test_rhs_general_entropy_against_inline_formula():
     s = fam.sample(2.5)
     x = np.array([0.3, 0.4])
     z = np.array([0.25, 0.5])
-    xdot, zdot = ag.rhs_general(h, f, s, FlowState(2.5, x, z))
+    xdot, zdot = stage_rhs(h, f, s, x, z)
 
     ea = np.exp(s.alpha)
     K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
@@ -96,20 +98,22 @@ def test_rhs_general_entropy_against_inline_formula():
 
 
 def test_rhs_l2_known_coefficients():
+    # the stage forcing on h = |x|^2 / 2 in the standard form eta = 2 alpha
     rng = np.random.default_rng(1)
-    f = scalar_quadratic().objective
+    spec = scalar_quadratic()
+    h, f = spec.generator, spec.objective
     x, z = rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)
 
     # critical constant damping: xdot = (z - x), zdot = -(z - x) - grad f(x)
     s = ag.ConstantDamping(2.0, 1.0).sample(0.7)
-    xdot, zdot = ag.rhs_l2(f, s, FlowState(0.7, x, z))
+    xdot, zdot = stage_rhs(h, f, s, x, z)
     assert xdot == pytest.approx(z - x, rel=1e-14)
     assert zdot == pytest.approx(-(z - x) - f.gradient(x), rel=1e-14)
 
     # C/t damping: xdot = (2C/3t)(z - x), zdot = -((C-3)/3t)(z - x) - (3t/2C) grad f
     C, t = 6.0, 2.0
     s = ag.PolynomialDamping(C).sample(t)
-    xdot, zdot = ag.rhs_l2(f, s, FlowState(t, x, z))
+    xdot, zdot = stage_rhs(h, f, s, x, z)
     assert xdot == pytest.approx(2 * C / (3 * t) * (z - x), rel=1e-14)
     assert zdot == pytest.approx(
         -(C - 3) / (3 * t) * (z - x) - 3 * t / (2 * C) * f.gradient(x), rel=1e-13
@@ -117,19 +121,9 @@ def test_rhs_l2_known_coefficients():
 
     # 3/t damping: the (z - x) coefficient vanishes, zdot = -(t/2) grad f(x)
     s = ag.Hyperbolic(0.0).sample(t)
-    xdot, zdot = ag.rhs_l2(f, s, FlowState(t, x, z))
+    xdot, zdot = stage_rhs(h, f, s, x, z)
     assert xdot == pytest.approx(2.0 / t * (z - x), rel=1e-14)
     assert zdot == pytest.approx(-0.5 * t * f.gradient(x), rel=1e-13, abs=1e-15)
-
-
-def test_rhs_l2_requires_standard_eta():
-    import dataclasses
-
-    spec = scalar_quadratic()
-    s = ag.ConstantDamping(2.0, 1.0).sample(0.0)
-    bad = dataclasses.replace(s, eta=s.eta + 0.5)
-    with pytest.raises(PreconditionError):
-        ag.rhs_l2(spec.objective, bad, FlowState(0.0, np.zeros(1), np.zeros(1)))
 
 
 def test_integrate_constant_damping_rate_bound():
@@ -222,10 +216,10 @@ def test_objective_without_stationary_point_is_configuration_error():
 @pytest.mark.parametrize(
     "h, G",
     [
-        (ag.from_quadratic_matrix([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]),
+        (ag.quadratic_generator([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]),
          np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])),
-        (ag.diagonal_quadratic([4.0, 0.25, 1.0]), np.diag([1.0, 9.0, 9.0])),
-        (ag.diagonal_quadratic([4.0, 0.25, 1.0]),
+        (ag.quadratic_generator(np.diag([4.0, 0.25, 1.0])), np.diag([1.0, 9.0, 9.0])),
+        (ag.quadratic_generator(np.diag([4.0, 0.25, 1.0])),
          np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])),
     ],
     ids=["dense_h", "diagonal_h_g", "diagonal_h"],
@@ -244,7 +238,7 @@ def test_modal_form_whitens_h_and_diagonalises_g(h, G):
 
 def test_modal_form_of_a_diagonal_flow_is_a_permutation():
     # diagonal H and G: lam_i = G_ii / H_ii sorted, S's columns e_i / sqrt(H_ii)
-    h = ag.diagonal_quadratic([4.0, 0.25, 1.0])
+    h = ag.quadratic_generator(np.diag([4.0, 0.25, 1.0]))
     f = ag.quadratic(np.diag([2.0, 1.0, 3.0]), np.array([2.0, 1.0, 3.0])).objective
     S, lam, x_r, _ = dynamics._modal_form(h, f, np.zeros(3))
     assert np.array_equal(lam, [0.5, 3.0, 4.0])
@@ -417,7 +411,7 @@ def test_hessian_solve_failure_is_numerical_error():
     spec = scalar_quadratic()
     s = ag.ConstantDamping(2.0, 1.0).sample(0.0)
     with pytest.raises(NumericalError):
-        ag.rhs_general(broken, spec.objective, s, FlowState(0.0, np.ones(1), np.zeros(1)))
+        stage_rhs(broken, spec.objective, s, np.ones(1), np.zeros(1))
 
 
 def test_dense_generator_stepping_loop_makes_no_linalg_solve(monkeypatch):
@@ -427,7 +421,7 @@ def test_dense_generator_stepping_loop_makes_no_linalg_solve(monkeypatch):
     H = np.array([[1.5, 0.2], [0.2, 0.8]])
     f = dataclasses.replace(ag.quadratic(np.diag([2.0, 1.0]), np.array([1.0, -0.5])).objective, hessian=None)
     cfg = ag.IntegratorConfig(t0=1.0, t_end=2.0, step=1e-2)
-    traj = ag.integrate(ag.from_quadratic_matrix(H), f, ag.PolynomialDamping(3.0), cfg, np.array([1.0, -1.0]))
+    traj = ag.integrate(ag.quadratic_generator(H), f, ag.PolynomialDamping(3.0), cfg, np.array([1.0, -1.0]))
     assert traj.metadata["integrator"]["path"] == "stepping_loop"
     assert traj.metadata["integrator"]["steps"] == 100
     assert calls == []
@@ -435,16 +429,21 @@ def test_dense_generator_stepping_loop_makes_no_linalg_solve(monkeypatch):
 
 def _event_steps_oracle(n_steps, stride):
     check_every = max(1, min(stride, 25))
-    steps = {*range(check_every, n_steps, check_every), *range(stride, n_steps, stride), n_steps}
-    return np.array(sorted(steps))
+    recorded = {*range(0, n_steps, stride), n_steps}
+    steps = sorted({*range(0, n_steps, check_every), *recorded})
+    return np.array(steps), np.array([k in recorded for k in steps])
 
 
 def test_event_steps_match_a_set_oracle():
     for n_steps in (1, 2, 24, 25, 26, 99, 1000, 1001, 1013):
         for stride in (1, 7, 25, 26, 40, 1001, 2000):
-            events, expect = dynamics._event_steps(n_steps, stride), _event_steps_oracle(n_steps, stride)
+            (events, recorded), (expect, flags) = (
+                dynamics._event_steps(n_steps, stride), _event_steps_oracle(n_steps, stride)
+            )
             assert events.dtype == expect.dtype == np.int64, (n_steps, stride)
             assert np.array_equal(events, expect), (n_steps, stride)
+            assert recorded.dtype == flags.dtype == bool, (n_steps, stride)
+            assert np.array_equal(recorded, flags), (n_steps, stride)
 
 
 def test_second_order_residual_is_differencing_small():
@@ -608,17 +607,17 @@ def test_undeclared_generator_hessian_takes_stepping_loop():
 
 def test_identity_hessian_is_derived_from_declared_hessian():
     assert ag.squared_euclidean(2).identity_hessian
-    assert not ag.diagonal_quadratic([1.0, 4.0]).identity_hessian
+    assert not ag.quadratic_generator(np.diag([1.0, 4.0])).identity_hessian
     assert not ag.negative_entropy(2).identity_hessian
     with pytest.raises(TypeError):
-        dataclasses.replace(ag.diagonal_quadratic([1.0, 4.0]), identity_hessian=True)
+        dataclasses.replace(ag.quadratic_generator(np.diag([1.0, 4.0])), identity_hessian=True)
 
 
 def test_non_identity_generator_paths_agree():
     # a generator that claimed an identity Hessian beside hess h = diag(1, 4)
     # once ran a different flow on the stepping loop than on the maps
     spec = ag.quadratic(np.diag([1.0, 4.0]), np.zeros(2))
-    h = ag.diagonal_quadratic([1.0, 4.0])
+    h = ag.quadratic_generator(np.diag([1.0, 4.0]))
     fam = ag.ConstantDamping(2.0, 1.0)
     cfg = ag.IntegratorConfig(t0=0.0, t_end=5.0, step=1e-3, record_stride=10)
     x0 = np.array([1.0, 1.0])
@@ -632,7 +631,7 @@ def test_non_identity_generator_paths_agree():
 
 
 @pytest.mark.parametrize(
-    "h", [ag.squared_euclidean(2), ag.diagonal_quadratic([1.0, 4.0])], ids=["identity", "diagonal"]
+    "h", [ag.squared_euclidean(2), ag.quadratic_generator(np.diag([1.0, 4.0]))], ids=["identity", "diagonal"]
 )
 def test_gradient_that_keeps_a_copy_sees_each_step_start(h):
     # the point handed to the gradient is valid only during the call

@@ -6,8 +6,8 @@ import pytest
 
 import agflow as ag
 from agflow import lyapunov
-from agflow.dynamics import FlowState
 from agflow.errors import ConfigurationError, FitError, PreconditionError
+from agflow.schedules import ScheduleSample
 
 
 def scalar_quadratic():
@@ -24,14 +24,23 @@ def run_constant(D=2.0, t_end=20.0, step=1e-3, stride=10, x0=None, factor=1.0, s
     return ag.integrate(spec.generator, spec.objective, fam, cfg, start)
 
 
+def value_at(variant, spec, s, x, z):
+    """V of `variant` at the state (x, z) and the sample s, from the
+    diagnostics pass (`lyapunov.record_diagnostics`) on a one-row batch."""
+    f = spec.objective
+    row = ScheduleSample(**{name: np.atleast_1d(v) for name, v in vars(s).items()})
+    mu = variant.mu_schedule.mu(row.t) if isinstance(variant, ag.Smoothed) else None
+    d = lyapunov.record_diagnostics(
+        variant, spec.generator, f, row, x[None], z[None], f.minimizer, f.optimal_value, f.sigma, mu=mu
+    )
+    return d.V[0]
+
+
 def test_value_vanishes_at_optimum():
     spec = scalar_quadratic()
     s = ag.ConstantDamping(2.0, 1.0).sample(3.0)
     xstar = spec.objective.minimizer
-    v = ag.lyapunov_value(
-        ag.Standard(), spec.generator, spec.objective, s, FlowState(3.0, xstar, xstar), xstar
-    )
-    assert v == 0.0
+    assert value_at(ag.Standard(), spec, s, xstar, xstar) == 0.0
 
 
 def test_value_closed_form_example():
@@ -40,11 +49,7 @@ def test_value_closed_form_example():
     fam = ag.ConstantDamping(2.0, 1.0)
     one = np.array([1.0])
     for t in (0.0, 2.0):
-        s = fam.sample(t)
-        v = ag.lyapunov_value(
-            ag.Standard(), spec.generator, spec.objective, s, FlowState(t, one, one),
-            spec.objective.minimizer,
-        )
+        v = value_at(ag.Standard(), spec, fam.sample(t), one, one)
         assert v == pytest.approx(np.exp(t) * 1.0, rel=1e-14)
 
 
@@ -54,12 +59,8 @@ def test_symmetric_with_zero_pi_matches_standard():
     rng = np.random.default_rng(0)
     for _ in range(50):
         s = fam.sample(rng.uniform(0.5, 10.0))
-        st = FlowState(s.t, rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-        a = ag.lyapunov_value(ag.Standard(), spec.generator, spec.objective, s, st,
-                              spec.objective.minimizer)
-        b = ag.lyapunov_value(ag.Symmetric(), spec.generator, spec.objective, s, st,
-                              spec.objective.minimizer)
-        assert a == b
+        x, z = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+        assert value_at(ag.Standard(), spec, s, x, z) == value_at(ag.Symmetric(), spec, s, x, z)
 
 
 def test_symmetric_requires_symmetric_generator():
@@ -72,10 +73,11 @@ def test_symmetric_requires_symmetric_generator():
         minimizer=np.array([0.5, 0.5]),
         optimal_value=1.0,
     )
-    s = ag.PolynomialDamping(2.0).sample(1.0)
     with pytest.raises(PreconditionError):
-        ag.lyapunov_value(ag.Symmetric(), h, f, s, FlowState(1.0, f.minimizer, f.minimizer),
-                          f.minimizer)
+        lyapunov.check_variant(ag.Symmetric(), h)
+    cfg = ag.IntegratorConfig(t0=1.0, t_end=1.1, step=1e-2)
+    with pytest.raises(PreconditionError):
+        ag.integrate(h, f, ag.PolynomialDamping(2.0), cfg, f.minimizer, variant=ag.Symmetric())
 
 
 def test_smoothed_value_reduces_to_standard_as_mu_vanishes():
@@ -84,22 +86,18 @@ def test_smoothed_value_reduces_to_standard_as_mu_vanishes():
     fam = ag.ConstantDamping(2.0, 1.0)
     mu = ag.constant_mu(1e-300, fam)
     s = fam.sample(1.0)
-    st = FlowState(1.0, np.array([0.7]), np.array([0.4]))
-    smooth_v = ag.lyapunov_value(
-        ag.Smoothed(approx, mu), spec.generator, spec.objective, s, st,
-        spec.objective.minimizer,
-    )
-    std_v = ag.lyapunov_value(ag.Standard(), spec.generator, spec.objective, s, st,
-                              spec.objective.minimizer)
+    x, z = np.array([0.7]), np.array([0.4])
+    smooth_v = value_at(ag.Smoothed(approx, mu), spec, s, x, z)
+    std_v = value_at(ag.Standard(), spec, s, x, z)
     assert smooth_v == pytest.approx(std_v, rel=1e-14)
 
 
 def test_missing_minimizer_is_configuration_error():
     spec = scalar_quadratic()
-    s = ag.ConstantDamping(2.0, 1.0).sample(0.0)
-    with pytest.raises(ConfigurationError):
-        ag.lyapunov_value(ag.Standard(), spec.generator, spec.objective, s,
-                          FlowState(0.0, np.zeros(1), np.zeros(1)), None)
+    f = dataclasses.replace(spec.objective, minimizer=None)
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=0.1, step=1e-2)
+    with pytest.raises(ConfigurationError, match="minimizer"):
+        ag.integrate(spec.generator, f, ag.ConstantDamping(2.0, 1.0), cfg, np.zeros(1))
 
 
 def test_monotone_on_valid_run():
@@ -433,7 +431,7 @@ def _oracle_runs():
     cfg = ag.IntegratorConfig(t0=1.0, t_end=14.0, step=1e-3, record_stride=10)
     yield "smooth demo", ag.smoothed_flow(spec.generator, approx, fam, mu, cfg, np.zeros(2))
     flat = ag.flat_quadratic(np.array([[1.0, 2.0]]), np.array([1.0]))
-    h = ag.from_quadratic_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    h = ag.quadratic_generator(np.array([[2.0, 0.5], [0.5, 1.0]]))
     cfg = ag.IntegratorConfig(t0=1.0, t_end=10.0, step=1e-2, record_stride=5)
     yield "symmetric", ag.integrate(
         h, flat.objective, ag.PolynomialDamping(6.0), cfg, np.array([2.0, 1.0]), variant=ag.Symmetric()
@@ -493,7 +491,7 @@ def _chunked_runs():
         quad.generator, quad.objective, ag.ConstantDamping(2.0, 1.0), cfg(0.0, 1e-3), np.array([1.0, -1.0])
     )
     flat = ag.flat_quadratic(np.array([[1.0, 2.0]]), np.array([1.0]))
-    h = ag.from_quadratic_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    h = ag.quadratic_generator(np.array([[2.0, 0.5], [0.5, 1.0]]))
     yield "symmetric", ag.integrate(
         h, flat.objective, ag.PolynomialDamping(1.5), cfg(1.0, 1e-2), np.array([2.0, 1.0]),
         variant=ag.Symmetric(),

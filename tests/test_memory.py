@@ -3,8 +3,9 @@ the row iteration over `Diagnostics`, of the composed-maps walk, of the
 stepping loop and of the rate-preserving mu(t) is set by their chunk sizes,
 not by the number of recorded samples or steps: the row iteration holds one
 window of `ROW_CHUNK` Python floats.  A schedule sample holds no more grid
-arrays than its family needs, and a run's event list is read off a mask of
-one byte a step.  A whole smooth-demo `integrate` grows its transient by at
+arrays than its family needs, and a run's event list and its recorded flags
+are read off a mask of one byte a step and dropped before the diagnostics
+pass.  A whole smooth-demo `integrate` grows its transient by at
 most three float64 values per half-step grid point, since the schedule and
 flow coefficients are sampled per chunk of steps.
 
@@ -234,8 +235,39 @@ def test_smooth_demo_integrate_transient_grows_by_three_values_per_grid_point():
 
 
 def test_event_list_transient_is_one_byte_a_step():
-    # beyond the int64 steps it returns: the mask alone
+    # beyond the int64 steps and their recorded flags it returns: the mask alone
     n_steps = 10**6
-    events, transient = _transient(dynamics._event_steps, n_steps, 1)
-    assert events.size == n_steps
+    (events, recorded), transient = _transient(dynamics._event_steps, n_steps, 1)
+    assert events.size == recorded.size == n_steps + 1
     assert transient <= n_steps + OBJECT_SLACK, transient
+
+
+def _held_beyond_diagnostics_inputs(n_steps, monkeypatch):
+    """(rows, bytes): the rows of a 1-dim composed-maps run of n_steps steps
+    at stride 1, and what the run holds as its diagnostics pass starts
+    beyond the arrays it hands that pass (the recorded states and the
+    schedule sampled at the recorded times)."""
+    record, seen = lyapunov.record_diagnostics, {}
+
+    def capture(variant, h, f, s, x, z, *args, **kwargs):
+        arrays = {id(a): a for a in (*vars(s).values(), x, z) if isinstance(a, np.ndarray)}
+        handed = sum(a.nbytes for a in arrays.values() if a.base is None)
+        seen["beyond"] = tracemalloc.get_traced_memory()[0] - handed
+        return record(variant, h, f, s, x, z, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "record_diagnostics", capture)
+    spec = ag.quadratic(np.array([[1.0]]), np.zeros(1))
+    cfg = ag.IntegratorConfig(t0=0.0, t_end=n_steps * 1e-3, step=1e-3, record_stride=1)
+    traj, _ = _transient(ag.integrate, spec.generator, spec.objective, ag.ConstantDamping(2.0, 1.0), cfg, np.ones(1))
+    assert traj.metadata["integrator"]["path"] == "composed_maps"
+    return len(traj), seen["beyond"]
+
+
+def test_diagnostics_pass_starts_without_the_event_list(monkeypatch):
+    # beyond the arrays handed on, one int64 a row (its step) is held: the
+    # event list, its flags and the walk are gone by then
+    _held_beyond_diagnostics_inputs(100, monkeypatch)  # first-use allocations
+    (short_rows, short), (long_rows, long) = (
+        _held_beyond_diagnostics_inputs(n, monkeypatch) for n in (10_000, 100_000)
+    )
+    assert long - short <= 8 * (long_rows - short_rows) + OBJECT_SLACK, (short, long)

@@ -3,7 +3,7 @@ import pytest
 
 import agflow as ag
 from agflow.errors import ConfigurationError
-from agflow.problems import l1_subgradient_gap, soft_threshold
+from agflow.problems import soft_threshold
 
 
 def shipped_specs():
@@ -100,6 +100,15 @@ def test_l1_denoise_rejects_bad_weight():
         ag.l1_denoise(np.array([1.0]), 0.0)
 
 
+def l1_subgradient_gap(y, w, xstar):
+    """Max violation of the optimality certificate 0 in the subdifferential of
+    (1/2) ||x - y||^2 + w ||x||_1 at x*: |(x* - y)_i| <= w where x*_i = 0,
+    (x* - y)_i + w sign(x*_i) = 0 elsewhere."""
+    resid = xstar - y
+    gap = np.where(xstar == 0.0, np.maximum(np.abs(resid) - w, 0.0), np.abs(resid + w * np.sign(xstar)))
+    return float(np.max(gap, initial=0.0))
+
+
 def test_uniform_convexity_of_all_shipped_problems():
     for spec in shipped_specs():
         rep = ag.check_uniform_convexity(
@@ -144,7 +153,7 @@ def test_quadratic_row_values_do_not_depend_on_the_batch():
     X = rng.uniform(-2.0, 2.0, (1024, n))
     for Q in (np.diag(lam), A @ A.T + n * np.eye(n)):
         spec = ag.quadratic(Q, Q @ rng.uniform(-1.0, 1.0, n))
-        h = ag.from_quadratic_matrix(Q)
+        h = ag.quadratic_generator(Q)
         for fn in (spec.objective.value, h.value, h.gradient):
             rows = np.array([fn(x) for x in X])
             assert np.array_equal(fn(X), rows)

@@ -1,8 +1,9 @@
 """Both integration paths against a textbook RK4.
 
 The oracle steps (x, z) with the classical four-stage formula, and each
-case writes out the flow's right-hand side here, from the schedule's sampled
-coefficients and closed-form gradients and Hessian solves; nothing of the
+case builds the flow's textbook right-hand side (`oracles.flow_rhs`) from the
+schedule's sampled coefficients and closed-form gradients and Hessian solves
+written out here; nothing of the
 integrator's own stage arithmetic is reused.  The stepping loop computes the
 same RK4 steps from precomputed stage coefficients, and the composed maps
 push basis states through those coefficients at up to three eigenvalues and
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import agflow as ag
+from oracles import flow_rhs
 
 STEP = 1e-2
 
@@ -36,21 +38,6 @@ def textbook_rk4(rhs, t0, n_steps, stride, x, z):
             xs.append(x)
             zs.append(z)
     return np.array(xs), np.array(zs)
-
-
-def flow_rhs(family, grad_f, grad_h, hessian_solve):
-    """xdot = e^alpha (z - x),
-    hess_h(z) zdot = -K (grad h(z) - grad h(x)) - e^(alpha - eta) grad f(t, x),
-    with K = delta_dot + eta_dot - alpha_dot - e^alpha."""
-
-    def rhs(t, x, z):
-        s = family.sample(t)
-        ea = np.exp(s.alpha)
-        K = s.delta_dot + s.eta_dot - s.alpha_dot - ea
-        group = -K * (grad_h(z) - grad_h(x)) - np.exp(s.alpha - s.eta) * grad_f(t, x)
-        return ea * (z - x), hessian_solve(z, group)
-
-    return rhs
 
 
 def euclidean(z, g):
@@ -100,7 +87,7 @@ def identity_quadratic_case():
 def diagonal_generator_case():
     d, q, b = np.array([1.0, 4.0]), np.array([2.0, 1.0]), np.array([0.5, 0.5])
     return integrate_case(
-        ag.diagonal_quadratic(d), quadratic_without_hessian(q, b), ag.Hyperbolic(1.0),
+        ag.quadratic_generator(np.diag(d)), quadratic_without_hessian(q, b), ag.Hyperbolic(1.0),
         (0.5, 2.5), np.array([1.0, -1.0]), np.array([-0.5, 0.25]),
         grad_h=lambda p: d * p, hessian_solve=lambda z, g: g / d, grad_f=lambda t, x: q * x - b,
     )
@@ -133,7 +120,7 @@ def dense_generator_case():
     H = np.array([[1.5, 0.2], [0.2, 0.8]])
     Q, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
     return integrate_case(
-        ag.from_quadratic_matrix(H), ag.quadratic(Q, b).objective, ag.Hyperbolic(1.0),
+        ag.quadratic_generator(H), ag.quadratic(Q, b).objective, ag.Hyperbolic(1.0),
         (0.5, 2.5), np.array([1.0, -1.0]), np.array([-0.5, 0.25]),
         grad_h=lambda p: H @ p, hessian_solve=lambda z, g: np.linalg.solve(H, g),
         grad_f=lambda t, x: Q @ x - b,
@@ -145,7 +132,7 @@ def dense_generator_loop_case():
     H = np.array([[1.5, 0.2], [0.2, 0.8]])
     Q, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
     return integrate_case(
-        ag.from_quadratic_matrix(H), dataclasses.replace(ag.quadratic(Q, b).objective, hessian=None),
+        ag.quadratic_generator(H), dataclasses.replace(ag.quadratic(Q, b).objective, hessian=None),
         ag.PolynomialDamping(3.0), (1.0, 3.0), np.array([1.0, -1.0]), np.array([-0.5, 0.25]),
         grad_h=lambda p: H @ p, hessian_solve=lambda z, g: np.linalg.solve(H, g),
         grad_f=lambda t, x: Q @ x - b,
