@@ -73,7 +73,8 @@ def _run_experiment(cfg: ExperimentConfig):
 
 def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
     """The run's reports and its verdict; a smoothed run also certifies its
-    approximation on 10 000 samples drawn from `cfg.seed`."""
+    approximation on 10 000 samples drawn from `cfg.seed` over the box the
+    run visited (`smoothing.visited_box`)."""
     mono = lyapunov.monotonicity_report(traj)
     bounds = lyapunov.bound_check(traj)
     integrals = lyapunov.integral_estimates(traj)
@@ -88,7 +89,8 @@ def _summarize(traj, cfg: ExperimentConfig, family) -> dict:
     }
     passed = mono.passed and bounds.passed and integrals.passed and conditions.passed
     if isinstance(traj.variant, lyapunov.Smoothed):
-        cert = smoothing.certify_smooth_approx(traj.variant.approximation, 10_000, cfg.seed)
+        box = smoothing.visited_box(traj.states_x, traj.states_z)
+        cert = smoothing.certify_smooth_approx(traj.variant.approximation, 10_000, cfg.seed, box)
         summary["certification"] = cert.to_dict()
         passed = passed and cert.passed
     if cfg.fit is not None:

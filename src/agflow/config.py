@@ -8,7 +8,6 @@ and defaults.  Experiments are plain files so runs are diffable artifacts.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -110,6 +109,8 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a config; a section or key it does not read is an error."""
+    import configparser  # loaded only by the runs that read a config file
+
     # no [DEFAULT] section reaching into the others (such a header is
     # unknown) and no % interpolation: every value is read literally
     parser = configparser.ConfigParser(

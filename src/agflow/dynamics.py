@@ -35,7 +35,6 @@ import os
 import shutil
 import signal
 import tempfile
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -187,11 +186,31 @@ class Trajectory:
         )
 
 
+# Values of the largest table that CPython formats.  Up to this size the two
+# formatters take within a few milliseconds of each other, and CPython's
+# spares a run the code pages and tables that `g17.csv_text` touches, about
+# 0.45 MB of its peak RSS (README, "CSV text").
+_CPYTHON_VALUES = 2**15
+
+
 def write_table(path, names, columns) -> None:
     """CSV with a header row of `names` and one row per sample of `columns`
     (arrays of shape (m,) or (m, k)): '.' decimal, LF endings, 17
-    significant digits, the bytes of f"{v:.17g}" (`g17.csv_text`)."""
-    _write_rows(path, ",".join(names) + "\n", columns, g17.csv_text, "", "")
+    significant digits, the bytes of '%.17g' % v.  A table of at most
+    `_CPYTHON_VALUES` values is formatted by CPython through one row
+    template, a larger one by `g17.csv_text`."""
+    width = _row_width(columns)
+    if len(columns[0]) * width > _CPYTHON_VALUES:
+        text = g17.csv_text
+    else:
+        row = ",".join(["%.17g"] * width) + "\n"
+        text = lambda block: "".join(row % tuple(r) for r in block.tolist())  # noqa: E731
+    _write_rows(path, ",".join(names) + "\n", columns, text, "", "")
+
+
+def _row_width(columns) -> int:
+    """Values per row of the table `columns` (arrays of shape (m,) or (m, k))."""
+    return sum(int(np.prod(np.shape(c)[1:])) for c in columns)
 
 
 def _writer_count(rows: int) -> int:
@@ -217,8 +236,7 @@ def _write_range(fh, columns, k0, k1, text, sep) -> None:
     block a float64 array of shape (rows, values per row); `sep` goes before
     every chunk but the table's first."""
     k1 = min(k1, len(columns[0]))
-    width = sum(int(np.prod(np.shape(c)[1:])) for c in columns)
-    step = max(1, _TEXT_VALUES // width)
+    step = max(1, _TEXT_VALUES // _row_width(columns))
     for k in range(k0, k1, step):
         block = np.column_stack([c[k : min(k + step, k1)] for c in columns])
         fh.write((sep if k else "") + text(block))
@@ -258,6 +276,8 @@ def _write_rows(path, head, columns, text, sep, tail) -> None:
                             part.flush()
                             code = 0
                         except BaseException:
+                            import traceback  # loaded only where a worker fails
+
                             os.write(2, traceback.format_exc().encode())
                         finally:
                             os._exit(code)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import DistanceGenerator, Objective, _box, _row_batch, _row_batches, row_values
+from .bregman import DistanceGenerator, Objective, _row_batch, _row_batches, row_values
 from .bregman import symmetric_eigh
 from .dynamics import IntegratorConfig, Trajectory, _integrate_core
 from .errors import ConfigurationError, ScheduleError
@@ -96,6 +96,7 @@ class CertReport:
     max_smoothness_ratio: float
     num_samples: int
     seed: int
+    region: list  # [low, high] of each coordinate of the box x and y are drawn from
 
     to_dict = dataclasses.asdict
 
@@ -200,23 +201,30 @@ def l1_denoise_approximation(y, w: float):
 CERT_TOLERANCE = 1e-9
 
 
-def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -> CertReport:
+def certify_smooth_approx(
+    a: SmoothApproximation, num_samples: int, seed: int, box=None
+) -> CertReport:
     """Sampled certification of the sandwich, the d/d mu band, and the
     (alpha_s/mu)-smoothness ratio at random (x, y, mu) draws.
 
-    Sample i is x_i, y_i ~ U[-2, 2]^n (`bregman._box`) and mu_i ~ U[1e-3,
-    MU_MAX), scaled in that order from its 2n + 1 uniforms of the stream of
-    `seed` (`bregman._row_batches`), so the report covers every run that
-    `SmoothingSchedule.on_grid` admits, whatever the batch size.  A NaN
-    fails it.  Each callable must take row batches (README, "Row batches"):
-    a result of the wrong shape, or one whose first row differs from a
-    one-point call, raises `ConfigurationError`.
+    Sample i is x_i, y_i ~ U[low, high) and mu_i ~ U[1e-3, MU_MAX), scaled
+    in that order from its 2n + 1 uniforms of the stream of `seed`
+    (`bregman._row_batches`), so the report covers every mu that
+    `SmoothingSchedule.on_grid` admits, whatever the batch size.  `box` is
+    (low, high), two arrays of shape (n,); None is the box [-2, 2]^n
+    (`bregman._box`), and `cli` passes the box a run visited
+    (`visited_box`).  A NaN fails the report.  Each callable must take row
+    batches (README, "Row batches"): a result of the wrong shape, or one
+    whose first row differs from a one-point call, raises
+    `ConfigurationError`.
     """
     dim = a.base.dim
+    low, high = (np.full(dim, -2.0), np.full(dim, 2.0)) if box is None else box
+    width = high - low
     # worst sandwich, band and ratio; np.maximum keeps a NaN, Python's max drops it
     worst = np.array([-np.inf, -np.inf, 0.0])
     for u in _row_batches(num_samples, seed, 2 * dim + 1):
-        x, y = _box(u[:, :dim]), _box(u[:, dim : 2 * dim])
+        x, y = low + width * u[:, :dim], low + width * u[:, dim : 2 * dim]
         mu_col = 1e-3 + (MU_MAX - 1e-3) * u[:, 2 * dim :]
         mu = mu_col[:, 0]
         x0, mu0 = x[0], float(mu[0])
@@ -248,7 +256,25 @@ def certify_smooth_approx(a: SmoothApproximation, num_samples: int, seed: int) -
         max_smoothness_ratio=worst_ratio,
         num_samples=int(num_samples),
         seed=int(seed),
+        region=np.column_stack([low, high]).tolist(),
     )
+
+
+# Margin of `visited_box` around the recorded states, per coordinate: a
+# quarter of the largest magnitude recorded there, at least 0.25.  The
+# states between records lie far inside it: recording every step instead
+# of every 10th widens smooth-demo's range with y = 10 0.1 by 2e-5.
+VISITED_MARGIN = 0.25
+
+
+def visited_box(states_x: np.ndarray, states_z: np.ndarray) -> tuple:
+    """(low, high): the box spanned by [-2, 2]^n and the recorded states x
+    and z (arrays of shape (m, n)), each coordinate's state range widened
+    by `VISITED_MARGIN` times max(1, its largest |x| or |z|)."""
+    low = np.minimum(states_x.min(axis=0), states_z.min(axis=0))
+    high = np.maximum(states_x.max(axis=0), states_z.max(axis=0))
+    pad = VISITED_MARGIN * np.maximum(1.0, np.maximum(-low, high))
+    return np.minimum(-2.0, low - pad), np.maximum(2.0, high + pad)
 
 
 def rate_preserving_mu(

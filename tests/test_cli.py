@@ -383,6 +383,8 @@ def test_smooth_demo(tmp_path):
     summary = json.loads((tmp_path / "sm" / "smooth_summary.json").read_text())
     assert summary["pass"] is True
     assert summary["certification"]["passed"] is True
+    # its states stay inside [-2, 2]^n, which the certificate samples alone
+    assert summary["certification"]["region"] == [[-2.0, 2.0], [-2.0, 2.0]]
     assert summary["metadata"]["integrator"]["path"] == "stepping_loop"
 
 
@@ -434,6 +436,30 @@ def test_simulate_on_the_smooth_demo_config_is_smooth_demo(monkeypatch, tmp_path
     assert reseeded["seed"] == reseeded["certification"]["seed"] == 5
     assert reseeded["certification"]["passed"] is True
     assert reseeded["monotonicity"] == summary["monotonicity"]
+
+
+def test_smoothing_certificate_covers_the_states_the_run_visited(tmp_path):
+    text = SMOOTH_DEMO_CFG.format(out=tmp_path / "o").replace("y = 2 0.1", "y = 10 0.1")
+    cfg = load_config(write_cfg(tmp_path, text))
+    traj, _, family = cli._run_experiment(cfg)
+    assert np.max(np.abs(traj.states_x)) > 10.0
+    shipped = cli._summarize(traj, cfg, family)
+    assert shipped["pass"] is True and shipped["certification"]["passed"] is True
+    low, high = np.array(shipped["certification"]["region"]).T
+    for states in (traj.states_x, traj.states_z):
+        assert np.all((low < states) & (states < high))
+
+    # the shipped approximation with 10 sign(x) max(|x| - 2, 0) added to
+    # grad_x: it breaks the smoothness ratio only outside [-2, 2]^n
+    a = traj.variant.approximation
+    fault = lambda x: 10.0 * np.sign(x) * np.maximum(np.abs(x) - 2.0, 0.0)  # noqa: E731
+    bad = dataclasses.replace(a, grad_x=lambda x, mu: a.grad_x(x, mu) + fault(x))
+    # the box [-2, 2]^n alone never samples where the fault lies
+    assert smoothing.certify_smooth_approx(bad, 10_000, cfg.seed).passed is True
+    swapped = dataclasses.replace(traj, variant=lyapunov.Smoothed(bad, traj.variant.mu_schedule))
+    faulty = cli._summarize(swapped, cfg, family)
+    assert faulty["certification"]["passed"] is False
+    assert faulty["pass"] is False
 
 
 def test_l1_denoise_without_smoothing_exits_two(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""`g17.csv_text` against CPython's `'%.17g' % v`, byte for byte."""
+"""`g17.csv_text`, and `dynamics.write_table` on either side of its
+formatter switch, against CPython's `'%.17g' % v`, byte for byte."""
 
 import numpy as np
 import pytest
 
-from agflow import g17
+from agflow import dynamics, g17
 
 
 def _reference(block) -> str:
@@ -57,3 +58,30 @@ def test_separators_for_any_block_shape(shape):
     block = np.linspace(-3.0, 1e20, int(np.prod(shape))).reshape(shape)
     block.flat[0] = -0.0
     assert g17.csv_text(block) == _reference(block)
+
+
+# 16 values a row: 2048 rows are exactly 2^15 values, CPython's largest table
+WIDTH = 16
+
+
+@pytest.mark.parametrize("writers", [1, 2])
+@pytest.mark.parametrize("rows, formatter", [(2048, "cpython"), (2049, "g17")])
+def test_write_table_matches_percent_17g_on_both_formatters(tmp_path, monkeypatch, writers, rows, formatter):
+    assert (rows * WIDTH <= dynamics._CPYTHON_VALUES) == (formatter == "cpython")
+    block = np.random.default_rng(28).normal(size=(rows, WIDTH))
+    # in both writers' ranges: non-finite values, signed zeros, a subnormal
+    # and an exact binary tie at the 17th digit
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 2.0**50 + 0.25]
+    for r in (0, rows - 1):
+        block[r, 1 : 1 + len(specials)] = specials
+    calls, csv_text = [], g17.csv_text
+    monkeypatch.setattr(g17, "csv_text", lambda b: calls.append(b.size) or csv_text(b))
+    monkeypatch.setattr(dynamics, "_writer_count", lambda m: writers)
+    path = tmp_path / "t.csv"
+    names = [f"c{i}" for i in range(WIDTH)]
+    dynamics.write_table(path, names, [block[:, 0], block[:, 1:]])
+    got, expected = path.read_text(), ",".join(names) + "\n" + _reference(block)
+    bad = [(g, e) for g, e in zip(got.split("\n"), expected.split("\n")) if g != e]
+    assert len(got) == len(expected) and not bad, bad[:3]
+    # this process formats rows 0..1023 at least; the g17 side sends them to g17
+    assert bool(calls) == (formatter == "g17")

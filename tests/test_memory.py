@@ -79,17 +79,27 @@ def test_diagnostics_pass_transient_is_one_row_chunk(recorded):
     assert transient <= DIAGNOSTICS_BOUND, transient
 
 
-@pytest.mark.parametrize("writer", ["write_csv", "write_json"])
-def test_writer_transient_is_one_text_chunk(recorded, tmp_path, monkeypatch, writer):
-    spec, family, t, x, z, _ = recorded
-    diag, _ = _diagnostics(recorded)
+# Rows of a table that CPython formats: 200 rows of 138 values, below 2^15.
+SMALL = 200
+
+
+@pytest.mark.parametrize(
+    "writer, rows",
+    [("write_csv", M), ("write_json", M), ("write_csv", SMALL), ("write_json", SMALL)],
+    ids=["write_csv", "write_json", "write_csv-small_table", "write_json-small_table"],
+)
+def test_writer_transient_is_one_text_chunk(recorded, tmp_path, monkeypatch, writer, rows):
+    spec, family, t, x, z, xstar = recorded
+    t, x, z = t[:rows], x[:rows], z[:rows]
+    diag, _ = _diagnostics((spec, family, t, x, z, xstar))
     traj = dynamics.Trajectory(
         t, x, z, diag, {"problem": spec.objective.name}, spec.generator, spec.objective,
         family, ag.Standard(),
     )
     # two writers, as on a 2-CPU machine: this process formats rows 0..M/2-1,
-    # where tracemalloc sees them, while a forked worker formats the rest
-    monkeypatch.setattr(dynamics, "_writer_count", lambda rows: 2)
+    # where tracemalloc sees them, while a forked worker formats the rest; a
+    # table of one row chunk is formatted here whole
+    monkeypatch.setattr(dynamics, "_writer_count", lambda m: 2 if m > lyapunov.ROW_CHUNK else 1)
     _, transient = _transient(getattr(traj, writer), tmp_path / "table")
     assert transient <= WRITER_BOUND, transient
 
